@@ -12,6 +12,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from repro.api import SynCircuit, SynCircuitConfig
 from repro.baselines import (
     DVAEBaseline,
     DVAEConfig,
@@ -23,7 +24,6 @@ from repro.baselines import (
 from repro.bench_designs import load_corpus, reference_designs, train_test_split
 from repro.diffusion import DiffusionConfig
 from repro.mcts import MCTSConfig
-from repro.pipeline import SynCircuit, SynCircuitConfig
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 

@@ -1,10 +1,9 @@
 """Core SynCircuit engine: P(G) -> G_ini -> G_val -> G_opt.
 
-This module hosts the three-phase generator that used to live in
-``repro.pipeline``.  It is deliberately session-agnostic: ``SynCircuit``
-knows how to train and generate, while :mod:`repro.api.session` layers
-artifact caching, typed requests and parallel fan-out on top.  The old
-``repro.pipeline`` module remains as a deprecation shim over this one.
+This module hosts the three-phase generator.  It is deliberately
+session-agnostic: ``SynCircuit`` knows how to train and generate, while
+:mod:`repro.api.session` layers artifact caching, typed requests and
+parallel fan-out on top.
 
 ``SynCircuit.fit`` trains the Phase 1 diffusion model (and optionally the
 Phase 3 PCS discriminator) on real circuit graphs; ``generate`` then
@@ -229,7 +228,6 @@ class SynCircuit:
         name: str = "synthetic",
         mcts_config: MCTSConfig | None = None,
         presampled: tuple | None = None,
-        evaluator=None,
     ) -> GenerationRecord:
         """Run the three phases for a single circuit.
 
@@ -240,9 +238,7 @@ class SynCircuit:
         ``(SampleResult, sample_seconds)`` pair from :meth:`presample`:
         phase 1 is then skipped here (the batch already consumed this
         item's rng draws for it) and the shared forward's per-item wall
-        share is recorded as the ``sample`` timing.  ``evaluator``
-        injects the Phase 3 cone evaluator (the fast tier's per-circuit
-        :class:`~repro.mcts.crossq.CrossCircuitQueue` view).
+        share is recorded as the ``sample`` timing.
         """
         self._check_fitted()
         timings: dict[str, float] = {}
@@ -284,7 +280,6 @@ class SynCircuit:
                 g_val,
                 reward_fn=self._reward_fn,
                 config=mcts_config or self.config.mcts,
-                evaluator=evaluator,
             )
             g_opt = report.graph
             g_opt.name = f"{name}_opt"

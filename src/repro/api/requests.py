@@ -64,8 +64,8 @@ class GenerateRequest:
     ``tier`` selects the numeric contract (:mod:`repro.tiers`):
     ``None`` keeps the session config's tier, ``"exact"`` the
     byte-stable default, ``"fast"`` the tolerance-gated throughput mode
-    (fused cross-graph denoiser GEMMs, estimate-driven search
-    acceptance, cross-circuit stimulus sharing).  The field is part of
+    (fused cross-graph denoiser GEMMs, headroom-triaged cone search,
+    estimate-filtered oracle calls).  The field is part of
     the serve layer's dedup ``request_key``, so exact and fast results
     never alias in the artifact store.
     """

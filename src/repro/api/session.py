@@ -34,7 +34,7 @@ import numpy as np
 
 from ..ir import CircuitGraph
 from ..obs import span
-from ..tiers import EXACT_TIER, FAST_TIER, check_tier
+from ..tiers import EXACT_TIER, check_tier
 from .engine import GenerationRecord, SynCircuit, SynCircuitConfig
 from .presets import resolve_preset
 from .requests import (
@@ -194,16 +194,6 @@ class Session:
         )
         return check_tier(tier)
 
-    def _request_queue(self, request: GenerateRequest):
-        """The request-scoped cross-circuit stimulus pool (fast tier
-        only): candidate cones from every item of the batch share one
-        packed-stimulus word pool, with per-circuit evaluator state."""
-        if self._resolve_tier(request) != FAST_TIER:
-            return None
-        from ..mcts import CrossCircuitQueue
-
-        return CrossCircuitQueue(seed=request.seed)
-
     def _prepare_items(self, request: GenerateRequest):
         """Per-item rngs, node counts, and batched phase-1 samples.
 
@@ -228,7 +218,6 @@ class Session:
         request: GenerateRequest,
         num_nodes: int,
         presampled: tuple | None = None,
-        queue=None,
     ) -> GenerationRecord:
         mcts_config = None
         overrides = {}
@@ -252,9 +241,6 @@ class Session:
                 name=f"{request.name_prefix}{index}",
                 mcts_config=mcts_config,
                 presampled=presampled,
-                evaluator=(
-                    queue.evaluator(index) if queue is not None else None
-                ),
             )
 
     def _finalize(
@@ -285,11 +271,8 @@ class Session:
         started = time.perf_counter()
         with span("session.generate", count=request.count, seed=request.seed):
             rngs, sizes, samples = self._prepare_items(request)
-            queue = self._request_queue(request)
             records = [
-                self._generate_item(
-                    k, rngs[k], request, sizes[k], samples[k], queue
-                )
+                self._generate_item(k, rngs[k], request, sizes[k], samples[k])
                 for k in range(request.count)
             ]
             return self._finalize(records, request, started)
@@ -338,7 +321,6 @@ class Session:
             count=request.count, workers=request.workers, seed=request.seed,
         ):
             rngs, sizes, samples = self._prepare_items(request)
-            queue = self._request_queue(request)
             with ThreadPoolExecutor(max_workers=request.workers) as pool:
                 # ThreadPoolExecutor threads do not inherit ContextVars;
                 # each item runs in a copy of the submitting context so
@@ -348,7 +330,7 @@ class Session:
                     pool.submit(
                         contextvars.copy_context().run,
                         self._generate_item,
-                        k, rngs[k], request, sizes[k], samples[k], queue,
+                        k, rngs[k], request, sizes[k], samples[k],
                     )
                     for k in range(request.count)
                 ]
@@ -379,7 +361,6 @@ class Session:
         rngs = _item_rngs(request.seed, request.count)
         sizes = self._draw_sizes(request, rngs)
         tier = self._resolve_tier(request)
-        queue = self._request_queue(request)
         chunk = max(request.workers, 1) * 4
 
         def chunk_items(lo: int):
@@ -397,7 +378,7 @@ class Session:
                 for k, presampled in chunk_items(lo):
                     try:
                         yield self._generate_item(
-                            k, rngs[k], request, sizes[k], presampled, queue
+                            k, rngs[k], request, sizes[k], presampled
                         )
                     except Exception as exc:
                         raise BatchItemError(
@@ -411,7 +392,7 @@ class Session:
                     pool.submit(
                         contextvars.copy_context().run,
                         self._generate_item,
-                        k, rngs[k], request, sizes[k], presampled, queue,
+                        k, rngs[k], request, sizes[k], presampled,
                     )
                     for k, presampled in items
                 ]

@@ -8,18 +8,14 @@ deliberately spans the whole stack:
 
 * ``simulate.*``       -- netlist simulation backends, largest corpus design
 * ``cone.batch_eval``  -- batched packed-stimulus cone evaluation
-* ``incr.apply_edit``  -- delta re-elaboration + incremental timing
-* ``incr.batch_queue`` -- CandidateQueue: delta netlists through the
-  packed simulator with one shared stimulus
+* ``incr.apply_edit``  -- delta re-elaboration of a swap chain
 * ``incr.analyze_delta`` -- dirty-cone redundancy analysis over a swap
   chain (the delta-mode fixpoint the incremental reward runs per
   candidate)
 * ``mcts.optimize``    -- the Phase 3 search loop (preset reward path)
-* ``mcts.optimize_incremental`` -- the same loop with the incremental
-  reward engine explicitly enabled (pinned even if presets change)
 * ``lint.graph``       -- the graph-scope diagnostic rules over the corpus
 * ``sanitize.overhead`` -- the incremental search with the runtime
-  invariant auditor on (vs ``mcts.optimize_incremental`` = its cost)
+  invariant auditor on (vs ``mcts.optimize`` = its cost)
 * ``obs.overhead``     -- the same search with an active trace recorder
   (vs ``mcts.optimize`` = the cost of *enabled* tracing; default-off
   span sites ride inside every other benchmark already)
@@ -28,9 +24,6 @@ deliberately spans the whole stack:
   forwards (the ``generate_batch`` phase-1 path)
 * ``diffusion.fused_gemm`` -- a heterogeneous batch through the fast
   tier's fused cross-graph GEMMs (one tall matmul per layer per step)
-* ``mcts.cross_circuit_queue`` -- candidate cones from *different*
-  circuits evaluated through one shared packed-stimulus pool (the fast
-  tier's cross-circuit batching)
 * ``metrics.structural`` -- Table II structural-similarity metrics
 * ``e2e.generate``     -- one full Session.generate (all three phases)
 * ``e2e.generate_batch`` -- a batch-8 mixed-size generation in the
@@ -160,41 +153,19 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
 
     # -- incremental synthesis engine -----------------------------------
     def incr_setup():
-        from ..incr import DeltaNetlist, IncrementalTiming
+        from ..incr import DeltaNetlist
 
         graph = load_design("alu")
         register = graph.registers()[0]
         rng = np.random.default_rng(seed)
         candidates = _swap_candidates(graph, register, rng, 24)[1:]
         base = DeltaNetlist.from_graph(graph, check=False)
-        timing = IncrementalTiming(base, clock_period=2.0)
-        return base, timing, candidates
+        return base, candidates
 
     def incr_run(state):
-        base, timing, candidates = state
+        base, candidates = state
         for candidate in candidates:
-            delta = base.apply_edit(candidate)
-            delta.total_area()
-            timing.update(delta)
-        return len(candidates)
-
-    def queue_setup():
-        from ..incr import CandidateQueue
-
-        graph = load_design("alu")
-        register = graph.registers()[0]
-        rng = np.random.default_rng(seed)
-        candidates = _swap_candidates(graph, register, rng, 24)
-        queue = CandidateQueue(
-            graph, num_cycles=SIM_CYCLES, seed=seed, clock_period=2.0
-        )
-        return queue, candidates
-
-    def queue_run(state):
-        queue, candidates = state
-        for candidate in candidates:
-            queue.submit(candidate)
-        queue.flush()
+            base.apply_edit(candidate)
         return len(candidates)
 
     def analyze_delta_setup():
@@ -243,19 +214,6 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
             mcts_meta["result_sha"] = hashlib.sha256(
                 repr(structural_fingerprint(report.graph).key).encode()
             ).hexdigest()[:16]
-        return max(report.total_simulations, 1)
-
-    def mcts_incr_setup():
-        import dataclasses
-
-        return (
-            load_design("uart_tx"),
-            dataclasses.replace(config.mcts, incremental=True),
-        )
-
-    def mcts_incr_run(state):
-        graph, mcts_config = state
-        report = optimize_registers(graph, config=mcts_config)
         return max(report.total_simulations, 1)
 
     # -- lint / sanitizer ------------------------------------------------
@@ -349,27 +307,6 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
         sample_batch(trained, list(fused_sizes), rngs, tier=FAST_TIER)
         return len(fused_sizes)
 
-    # -- cross-circuit candidate batching --------------------------------
-    def crossq_setup():
-        from ..mcts.crossq import CrossCircuitQueue
-
-        items = []
-        for key, name in enumerate(("alu", "uart_tx")):
-            graph = load_design(name)
-            register = graph.registers()[0]
-            rng = np.random.default_rng(seed + key)
-            for candidate in _swap_candidates(graph, register, rng, 12):
-                items.append((key, candidate, register))
-        # The queue (and so its shared stimulus pool) lives in setup,
-        # mirroring cone.batch_eval: the measured path is evaluation.
-        queue = CrossCircuitQueue(num_cycles=SIM_CYCLES, seed=seed)
-        return queue, items
-
-    def crossq_run(state):
-        queue, items = state
-        queue.evaluate(items)
-        return len(items)
-
     # -- structural metrics ---------------------------------------------
     def metrics_setup():
         reference = reference_designs()["core_like"]
@@ -431,19 +368,12 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
         Benchmark("cone.batch_eval", cone_setup, cone_run,
                   meta={"cycles": SIM_CYCLES}),
         Benchmark("incr.apply_edit", incr_setup, incr_run,
-                  meta={"design": "alu",
-                        "note": "delta re-elaboration + incremental STA"}),
-        Benchmark("incr.batch_queue", queue_setup, queue_run,
-                  meta={"design": "alu", "cycles": SIM_CYCLES}),
+                  meta={"design": "alu", "note": "delta re-elaboration"}),
         Benchmark("incr.analyze_delta", analyze_delta_setup,
                   analyze_delta_run,
                   meta={"design": "alu",
                         "note": "dirty-cone fixpoint vs captured baseline"}),
         Benchmark("mcts.optimize", mcts_setup, mcts_run, meta=mcts_meta),
-        Benchmark("mcts.optimize_incremental", mcts_incr_setup, mcts_incr_run,
-                  meta={"design": "uart_tx",
-                        "num_simulations": config.mcts.num_simulations,
-                        "incremental": True}),
         Benchmark("lint.graph", lint_setup, lint_run,
                   meta={"note": "graph-scope rules over the whole corpus"}),
         Benchmark("sanitize.overhead", sanitize_setup, sanitize_run,
@@ -451,10 +381,6 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
                         "num_simulations": config.mcts.num_simulations,
                         "incremental": True, "sanitize": True}),
         Benchmark("obs.overhead", obs_setup, obs_run, meta=obs_meta),
-        Benchmark("mcts.cross_circuit_queue", crossq_setup, crossq_run,
-                  meta={"designs": ["alu", "uart_tx"], "cycles": SIM_CYCLES,
-                        "note": "one shared packed-stimulus pool across "
-                                "circuits"}),
         Benchmark("metrics.structural", metrics_setup, metrics_run),
         Benchmark("e2e.generate", e2e_setup, e2e_run, repeats=2,
                   meta={"nodes": 44, "optimize": True}),
@@ -469,13 +395,13 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
     ]
     if config.use_diffusion:
         benchmarks.insert(
-            10,
+            8,
             Benchmark("diffusion.sample", diffusion_setup, diffusion_run,
                       meta={"nodes": 48,
                             "epochs": config.diffusion.epochs}),
         )
         benchmarks.insert(
-            11,
+            9,
             Benchmark("diffusion.sample_batch", diffusion_setup,
                       diffusion_batch_run,
                       meta={"nodes": 48, "batch": 4,
@@ -483,7 +409,7 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
                             "note": "shared denoiser forwards"}),
         )
         benchmarks.insert(
-            12,
+            10,
             Benchmark("diffusion.fused_gemm", diffusion_setup,
                       diffusion_fused_run,
                       meta={"nodes": list(fused_sizes),
@@ -539,27 +465,15 @@ def run_suite(
         packed.meta["speedup_vs_scalar"] = round(
             scalar.wall_best / packed.wall_best, 2
         )
-    # Per-candidate cost of the batched evaluation kernels: the number
-    # the CI bench-smoke job gates (compile/patch time must stay flat
-    # per candidate, whatever the batch size of the run).
-    for name in (
-        "incr.batch_queue", "cone.batch_eval", "mcts.cross_circuit_queue"
-    ):
-        record = by_name.get(name)
-        if record and record.ops:
-            record.meta["ms_per_candidate"] = round(
-                record.wall_best * 1000.0 / record.ops, 4
-            )
+    untraced = by_name.get("mcts.optimize")
     sanitized = by_name.get("sanitize.overhead")
-    plain = by_name.get("mcts.optimize_incremental")
-    if sanitized and plain and plain.wall_best > 0:
+    if sanitized and untraced and untraced.wall_best > 0:
         # The auditing cost factor: sanitized vs unsanitized search on
-        # the identical workload (same design, budget, reward path).
+        # the same design and budget.
         sanitized.meta["overhead_vs_unsanitized"] = round(
-            sanitized.wall_best / plain.wall_best, 2
+            sanitized.wall_best / untraced.wall_best, 2
         )
     traced = by_name.get("obs.overhead")
-    untraced = by_name.get("mcts.optimize")
     if traced and untraced and untraced.wall_best > 0:
         # Cost of *active* tracing on the identical search workload; the
         # default-off cost is covered by mcts.optimize itself (every

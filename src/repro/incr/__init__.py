@@ -1,5 +1,5 @@
-"""Incremental synthesis engine: delta-driven elaboration, timing and
-reward evaluation for the MCTS hot loop.
+"""Incremental synthesis engine: delta-driven elaboration and reward
+evaluation for the MCTS hot loop.
 
 The exact reward path re-synthesizes the whole design for every
 candidate swap; this package re-elaborates only the *dirty cone* (the
@@ -8,13 +8,18 @@ shares everything else:
 
 * :class:`DeltaNetlist` -- a base netlist plus a patch set, with
   ``apply_edit`` producing equivalent-netlist deltas in O(dirty cone);
-* :class:`IncrementalTiming` -- arrival/slack updates along the dirty
-  cone only, bit-identical to ``repro.synth.timing.analyze_timing``;
-* :class:`CandidateQueue` -- batched candidate evaluation through the
-  packed bit-parallel simulator with one shared stimulus;
-* :class:`IncrementalReward` -- the MCTS reward adapter: delta areas +
-  word-level redundancy analysis, calibrated to exact PCS at rebase and
-  oracle-gated at acceptance (``MCTSConfig.incremental`` selects it).
+* :class:`RedundancyAnalyzer` -- the word-level redundancy fixpoint,
+  with a dirty-cone mode re-converged only over an edit's affected
+  cone;
+* :class:`IncrementalReward` -- the MCTS reward adapter: memoized
+  per-node areas + word-level redundancy analysis, calibrated to exact
+  PCS at rebase (``MCTSConfig.incremental`` selects it);
+* :class:`DeltaOracle` -- the exact acceptance oracle rebuilt on the
+  delta substrate.
+
+``IncrementalReward(delta=False)`` (``MCTSConfig.delta``) switches both
+shortcuts to their reference paths -- the full fixpoint and a fresh
+``synthesize()`` oracle -- for differential tests.
 
 This package depends only on :mod:`repro.ir` and :mod:`repro.synth`;
 :mod:`repro.mcts` layers the search integration on top.
@@ -22,18 +27,12 @@ This package depends only on :mod:`repro.ir` and :mod:`repro.synth`;
 
 from .analysis import RedundancyAnalyzer, RedundancyReport, analyze_redundancy
 from .delta import DeltaNetlist, NodeArtifact, comb_topo_order
-from .queue import CandidateQueue, CandidateResult
-from .reward import DeltaOracle, IncrementalEval, IncrementalReward
-from .timing import IncrementalTiming
+from .reward import DeltaOracle, IncrementalReward
 
 __all__ = [
-    "CandidateQueue",
-    "CandidateResult",
     "DeltaNetlist",
     "DeltaOracle",
-    "IncrementalEval",
     "IncrementalReward",
-    "IncrementalTiming",
     "NodeArtifact",
     "RedundancyAnalyzer",
     "RedundancyReport",

@@ -28,11 +28,9 @@ from dataclasses import dataclass
 from ..ir import CircuitGraph, NodeType
 from ..obs import span
 from ..synth.elaborate import _Elaborator
-from ..synth.library import DEFAULT_LIBRARY, CellLibrary
 from ..synth.netlist import Gate, Netlist
 
 _SOURCE_TYPES = (NodeType.IN, NodeType.CONST, NodeType.REG)
-_STOP_TYPES = (NodeType.REG, NodeType.OUT)
 
 
 @dataclass(frozen=True)
@@ -43,8 +41,7 @@ class NodeArtifact:
     empty for OUT); ``gates`` are the gates owned by the node (the
     lowered logic for operators, the DFFs for a register); ``pis`` /
     ``pos`` are the primary ports contributed by IN / OUT nodes.
-    Artifacts are immutable and shared across deltas, so the mapped
-    area at the default (library, strength) is cached per artifact.
+    Artifacts are immutable and shared across deltas.
     """
 
     node: int
@@ -52,24 +49,6 @@ class NodeArtifact:
     gates: tuple[Gate, ...]
     pis: tuple[tuple[str, int], ...] = ()
     pos: tuple[tuple[str, int], ...] = ()
-
-    def area(
-        self,
-        library: CellLibrary = DEFAULT_LIBRARY,
-        strength: int = 1,
-    ) -> float:
-        if library is DEFAULT_LIBRARY and strength == 1:
-            cached = self.__dict__.get("_area_x1")
-            if cached is None:
-                cached = sum(
-                    library.cell(g.kind, 1).area for g in self.gates
-                )
-                # Lazy memo on the frozen instance (reward hot path).
-                object.__setattr__(self, "_area_x1", cached)
-            return cached
-        return sum(
-            library.cell(g.kind, strength).area for g in self.gates
-        )
 
 
 def comb_topo_order(graph: CircuitGraph, subset: set[int]) -> list[int]:
@@ -105,8 +84,7 @@ class DeltaNetlist:
 
     __slots__ = (
         "graph", "name", "num_nets", "const0", "const1",
-        "artifacts", "patched", "parent", "_children",
-        "_comb_mask", "_stop_mask",
+        "artifacts", "patched", "parent", "_children", "_comb_mask",
     )
 
     def __init__(
@@ -119,7 +97,7 @@ class DeltaNetlist:
         artifacts: dict[int, NodeArtifact],
         patched: frozenset[int],
         parent: "DeltaNetlist | None",
-        kind_masks: tuple[list[bool], list[bool]] | None = None,
+        comb_mask: list[bool] | None = None,
     ):
         self.graph = graph
         self.name = graph.name
@@ -130,19 +108,19 @@ class DeltaNetlist:
         #: Nodes re-lowered by the edit that produced this delta
         #: (empty for a freshly elaborated base).
         self.patched = patched
-        #: The delta this one was derived from (``None`` for a base);
-        #: :class:`repro.incr.timing.IncrementalTiming` walks this chain.
+        #: The delta this one was derived from (``None`` for a base or a
+        #: schema-change fallback, which callers read as "not an edit").
         self.parent = parent
         #: Lazily built fanout map of ``graph`` (apply_edit hot path).
         self._children: list[list[int]] | None = None
-        if kind_masks is None:
-            kind_masks = (
-                [n.type not in (*_SOURCE_TYPES, NodeType.OUT)
-                 for n in graph.nodes()],
-                [n.type in _STOP_TYPES for n in graph.nodes()],
-            )
-        #: Schema-static per-node type masks shared along the lineage.
-        self._comb_mask, self._stop_mask = kind_masks
+        if comb_mask is None:
+            comb_mask = [
+                n.type not in (*_SOURCE_TYPES, NodeType.OUT)
+                for n in graph.nodes()
+            ]
+        #: Schema-static per-node combinational mask shared along the
+        #: lineage.
+        self._comb_mask = comb_mask
 
     # ------------------------------------------------------------------
     @classmethod
@@ -202,39 +180,6 @@ class DeltaNetlist:
         if check:
             delta.materialize(check=True)
         return delta
-
-    # ------------------------------------------------------------------
-    def dirty_cone(
-        self, new_graph: CircuitGraph, touched: Iterable[int]
-    ) -> set[int]:
-        """Transitive combinational fanout of ``touched`` in ``new_graph``.
-
-        Propagation stops *at* registers and outputs: a register's Q
-        nets are stable across edits, so consumers of an edited
-        register's output are clean even though the register's own DFF
-        gates are rebuilt.
-        """
-        return self._propagate_dirty(
-            new_graph, touched, new_graph.child_map().__getitem__
-        )
-
-    def _propagate_dirty(
-        self,
-        new_graph: CircuitGraph,
-        touched: Iterable[int],
-        children: Callable[[int], Iterable[int]],
-    ) -> set[int]:
-        dirty: set[int] = set(touched)
-        comb_mask, stop_mask = self._comb_mask, self._stop_mask
-        frontier = [v for v in touched if comb_mask[v]]
-        while frontier:
-            v = frontier.pop()
-            for child in children(v):
-                if child not in dirty:
-                    dirty.add(child)
-                    if not stop_mask[child]:
-                        frontier.append(child)
-        return dirty
 
     def _patched_children(
         self, new_graph: CircuitGraph, touched: Iterable[int]
@@ -306,7 +251,7 @@ class DeltaNetlist:
                 artifacts=self.artifacts,
                 patched=frozenset(),
                 parent=self,
-                kind_masks=(self._comb_mask, self._stop_mask),
+                comb_mask=self._comb_mask,
             )
         # Patch context: the net counter continues past the base's nets
         # (nets are never reused); operand bit lists are pulled from the
@@ -420,7 +365,7 @@ class DeltaNetlist:
             artifacts=artifacts,
             patched=frozenset(rebuilt),
             parent=self,
-            kind_masks=(self._comb_mask, self._stop_mask),
+            comb_mask=self._comb_mask,
         )
 
     @staticmethod
@@ -506,24 +451,6 @@ class DeltaNetlist:
             for gate in art.gates:
                 counts[gate.kind] = counts.get(gate.kind, 0) + 1
         return counts
-
-    def node_area(
-        self,
-        node_id: int,
-        library: CellLibrary = DEFAULT_LIBRARY,
-        strength: int = 1,
-    ) -> float:
-        return self.artifacts[node_id].area(library, strength)
-
-    def total_area(
-        self,
-        library: CellLibrary = DEFAULT_LIBRARY,
-        strength: int = 1,
-    ) -> float:
-        """Raw (pre-optimization) mapped area of the full netlist."""
-        return sum(
-            art.area(library, strength) for art in self.artifacts.values()
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -16,17 +16,15 @@
 then scores ``surviving raw area / RTL nodes``, calibrated at
 :meth:`rebase` so the base state's score equals its exact post-synthesis
 PCS.  The per-node area values (and their summation order) are bit-for-
-bit those of the historical :class:`~repro.incr.delta.DeltaNetlist`
-artifact path, which :meth:`IncrementalReward.evaluate` still uses for
-its delta/timing diagnostics.  The estimate ranks candidate rewrites;
-acceptance is still gated by the exact ``synthesize()`` oracle in
-:func:`repro.mcts.optimize.optimize_registers` (the full-resynthesis
-reference path, ``MCTSConfig.incremental=False``, stays available).
+bit those of a :class:`~repro.incr.delta.DeltaNetlist` artifact fold.
+The estimate ranks candidate rewrites; acceptance is still gated by an
+exact oracle in :func:`repro.mcts.optimize.optimize_registers` --
+:class:`DeltaOracle` on the delta substrate, or a fresh ``synthesize()``
+on the reference path (``delta=False``).  The full-resynthesis search,
+``MCTSConfig.incremental=False``, stays available.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..ir import CircuitGraph, NodeType
 from ..lint.sanitize import current_sanitizer
@@ -36,22 +34,9 @@ from ..synth.flow import synthesize
 from ..synth.library import DEFAULT_LIBRARY, CellLibrary
 from ..synth.netlist import Netlist
 from ..synth.passes import optimize as optimize_netlist
-from ..synth.timing import TimingReport, total_area
+from ..synth.timing import total_area
 from .analysis import RedundancyAnalyzer, RedundancyReport
 from .delta import DeltaNetlist
-from .timing import IncrementalTiming
-
-
-@dataclass
-class IncrementalEval:
-    """Full diagnostics for one candidate evaluation."""
-
-    pcs: float
-    raw_area: float
-    surviving_area: float
-    survivors: int
-    patched: int
-    timing: TimingReport | None = None
 
 
 class _AreaScratch:
@@ -94,6 +79,12 @@ class IncrementalReward:
     ``base_pcs`` is the base state's *exact* PCS (one ``synthesize()``
     per rebase), which the MCTS driver reuses as the oracle's reference
     value instead of re-synthesizing.
+
+    ``delta`` is the differential-test switch: ``True`` scores candidates
+    with the analyzer's dirty-cone fixpoint (baseline captured at each
+    rebase) and pairs the search with a :class:`DeltaOracle`; ``False``
+    keeps the full fixpoint and a fresh-synthesis oracle -- the
+    reference path both shortcuts are checked against.
     """
 
     def __init__(
@@ -101,24 +92,12 @@ class IncrementalReward:
         clock_period: float = 2.0,
         library: CellLibrary = DEFAULT_LIBRARY,
         strength: int = 1,
-        delta_analysis: bool = True,
-        calibrate: bool = True,
+        delta: bool = True,
     ):
         self.clock_period = clock_period
         self.library = library
         self.strength = strength
-        #: Route candidate scoring through the analyzer's dirty-cone
-        #: delta mode (baseline captured at each rebase).  ``False``
-        #: keeps the full-fixpoint reference path.
-        self.delta_analysis = delta_analysis
-        #: Anchor each rebase to the exact post-synthesis PCS (one
-        #: ``synthesize()`` per rebase).  ``False`` -- the fast tier --
-        #: skips that synthesis and scores on the raw redundancy
-        #: estimate (``_scale`` stays 1.0).  The scale is a uniform
-        #: multiplier, so *within-cone* comparisons (what the search
-        #: ranks) are unaffected; only the absolute value stops being a
-        #: calibrated PCS.
-        self.calibrate = calibrate
+        self.delta = delta
         self.calls = 0
         self.patches = 0
         self.rebases = 0
@@ -132,7 +111,6 @@ class IncrementalReward:
         self._base_graph: CircuitGraph | None = None
         self._base: DeltaNetlist | None = None
         self._analyzer: RedundancyAnalyzer | None = None
-        self._timing: IncrementalTiming | None = None
         self._scale = 1.0
         #: node id -> raw mapped area of its lowering in the base state.
         self._base_area: dict[int, float] = {}
@@ -165,19 +143,18 @@ class IncrementalReward:
     def _rebase(
         self, graph: CircuitGraph, exact_pcs: float | None
     ) -> None:
-        if exact_pcs is None and self.calibrate:
+        if exact_pcs is None:
             exact_pcs = synthesize(
                 graph, clock_period=self.clock_period, strength=self.strength,
                 library=self.library, check=False, run_timing=False,
             ).pcs
         self._base_graph = graph
-        # The tracked base elaboration is only needed by ``evaluate``'s
-        # delta/timing diagnostics; the scoring path works entirely from
-        # the per-node area memo, so it is built lazily.
+        # The tracked base elaboration is only needed by the
+        # DeltaOracle; the scoring path works entirely from the per-node
+        # area memo, so it is built lazily.
         self._base = None
         self._absorb_analysis_counters()
         self._analyzer = RedundancyAnalyzer(graph, share_from=self._analyzer)
-        self._timing = None
         self.base_pcs = exact_pcs
         # The (node, operand widths) -> area memo depends only on the
         # node schema, which is shared by every state of one search run
@@ -201,18 +178,12 @@ class IncrementalReward:
                 base_area[node.id] = 0.0
         self._base_area = base_area
         base_report = self._analyzer.analyze(graph)
-        if self.delta_analysis:
+        if self.delta:
             # Anchor the analyzer's dirty-cone mode on this converged
             # base state; candidate scoring then re-runs the fixpoint
             # only over each edit's affected cone.
             self._analyzer.capture_baseline(graph, base_report)
         estimate = self._area_of(base_report)
-        if exact_pcs is None:
-            # Uncalibrated (fast-tier) rebase: the base value IS the
-            # estimate, so the scale folds to exactly 1.0 and the per-
-            # rebase synthesize() is never paid.
-            exact_pcs = estimate / max(graph.num_nodes, 1)
-            self.base_pcs = exact_pcs
         self._scale = exact_pcs * graph.num_nodes / estimate if estimate else 1.0
 
     def _absorb_analysis_counters(self) -> None:
@@ -297,21 +268,6 @@ class IncrementalReward:
             self._base = DeltaNetlist.from_graph(self._base_graph, check=False)
         return self._base
 
-    def _delta_for(self, graph: CircuitGraph) -> DeltaNetlist:
-        if self._base_graph is None:
-            self.rebase(graph)
-        if graph is self._base_graph:
-            return self._ensure_base_delta()
-        base = self._ensure_base_delta()
-        delta = base.apply_edit(graph, self._trace_touched(graph))
-        if delta.parent is None:
-            # Schema changed: a different design, not an edit -- the
-            # calibration must be re-anchored too.
-            self.rebase(graph)
-            return self._ensure_base_delta()
-        self.patches += 1
-        return delta
-
     def _trace_touched(self, graph: CircuitGraph) -> list[int] | None:
         """Touched nodes recovered from ``apply_swap`` edit provenance.
 
@@ -364,44 +320,6 @@ class IncrementalReward:
             sanitizer.check_area_memo(self, graph, overrides)
         area = self._area_of(report, overrides)
         return self._scale * area / max(graph.num_nodes, 1)
-
-    # ------------------------------------------------------------------
-    def evaluate(self, graph: CircuitGraph) -> IncrementalEval:
-        """Scored candidate plus raw area, survivor count and timing.
-
-        Timing comes from :class:`IncrementalTiming` anchored on the
-        current base -- a dirty-cone update, not a full ``synth.timing``
-        pass.
-        """
-        self.calls += 1
-        delta = self._delta_for(graph)
-        sanitizer = current_sanitizer()
-        if sanitizer is not None:
-            # S003: audit the diagnostic delta's patch lineage.
-            sanitizer.check_delta(delta)
-        report = self._analyzer.analyze(delta.graph)
-        survivors = report.survivors()
-        surviving = sum(
-            delta.node_area(v, self.library, self.strength)
-            for v in survivors
-        )
-        if self._timing is None:
-            self._timing = IncrementalTiming(
-                self._ensure_base_delta(), self.clock_period,
-                self.library, self.strength,
-            )
-        timing = self._timing.update(delta)
-        if sanitizer is not None:
-            # S004: overlay-assembled report vs a fresh STA.
-            sanitizer.check_timing(self._timing, delta, timing)
-        return IncrementalEval(
-            pcs=self._scale * surviving / max(graph.num_nodes, 1),
-            raw_area=delta.total_area(self.library, self.strength),
-            surviving_area=surviving,
-            survivors=len(survivors),
-            patched=len(delta.patched),
-            timing=timing,
-        )
 
 
 class DeltaOracle:

@@ -4,9 +4,9 @@ The search hot loop of :mod:`repro.mcts` runs entirely on memoized /
 incrementally-patched structures: :class:`~repro.ir.GraphView` wiring
 memos, the :class:`~repro.mcts.actions.SwapIndex` cone-edge cache,
 :class:`~repro.incr.DeltaNetlist` patch lineages,
-:class:`~repro.incr.IncrementalTiming` overlays and
-:class:`~repro.synth.simulate.PatchableSimulator` plans.  Each is
-differentially fuzz-tested offline, but nothing could check the
+:class:`~repro.synth.simulate.PatchableSimulator` plans, the
+incremental reward's area memo and the analyzer's dirty-cone fixpoint.
+Each is differentially fuzz-tested offline, but nothing could check the
 invariants *in situ* when a real run misbehaves.
 
 This module is that check.  A :class:`Sanitizer` re-derives each
@@ -17,7 +17,8 @@ offending state -- on any divergence.  Activation is opt-in and scoped:
 
 * ``REPRO_SANITIZE=1`` (environment) audits every optimization run in
   the process; a comma-separated value (``REPRO_SANITIZE=S001,S003``)
-  restricts the checkpoints.
+  restricts the checkpoints.  An id outside :data:`SANITIZER_IDS`
+  raises ``ValueError`` instead of silently auditing nothing.
 * ``MCTSConfig.sanitize`` / ``GenerateRequest.sanitize`` /
   ``repro generate --sanitize`` audit one search / one request.
 
@@ -38,12 +39,12 @@ from .core import ERROR, SANITIZER_SCOPE, Diagnostic, Rule, register
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free annotations only
     from ..incr.delta import DeltaNetlist
-    from ..incr.timing import IncrementalTiming
     from ..ir.graph import CircuitGraph
-    from ..synth.timing import TimingReport
 
 #: Sanitizer rules: listed in the catalog for docs/selection; their
 #: checks run from instrumented checkpoints, not from lint_graph().
+#: S004 and S008 are retired (their structures are gone); the other ids
+#: keep their numbers.
 SANITIZER_RULES = tuple(register(Rule(
     id=rule_id, title=title, severity=ERROR, scope=SANITIZER_SCOPE,
     description=description,
@@ -57,9 +58,6 @@ SANITIZER_RULES = tuple(register(Rule(
     ("S003", "delta-netlist-coherence",
      "DeltaNetlist.materialize() must match a fresh elaborate() of the "
      "same graph (ports, gate counts, observed function)."),
-    ("S004", "incremental-timing-coherence",
-     "IncrementalTiming overlay reports must match analyze_timing on a "
-     "fresh elaboration."),
     ("S005", "patchable-simulator-coherence",
      "PatchableSimulator's re-linked plan must produce the packed "
      "output words of a fresh compile."),
@@ -69,11 +67,27 @@ SANITIZER_RULES = tuple(register(Rule(
     ("S007", "delta-analysis-coherence",
      "RedundancyAnalyzer's dirty-cone delta report must match the full "
      "fixpoint over every node."),
-    ("S008", "cross-circuit-queue-isolation",
-     "A CrossCircuitQueue signature (shared stimulus pool) must equal a "
-     "solo per-circuit re-derivation: no stimulus or state may leak "
-     "across circuit boundaries."),
 ))
+
+#: Every rule id a :class:`Sanitizer` can audit.
+SANITIZER_IDS = frozenset(rule.id for rule in SANITIZER_RULES)
+
+#: ``REPRO_SANITIZE`` values that enable every check.
+_ENV_ALL = frozenset({"1", "TRUE", "ON", "YES"})
+
+
+def _known_checks(ids: Iterable[str]) -> frozenset[str]:
+    """``ids`` as a set, or ``ValueError`` naming any unknown id -- a
+    mistyped or retired id would otherwise audit nothing while the run
+    reports sanitizing as on."""
+    checks = frozenset(ids)
+    unknown = sorted(checks - SANITIZER_IDS)
+    if unknown:
+        raise ValueError(
+            f"unknown sanitizer check(s) {', '.join(unknown)}: expected "
+            f"ids from {', '.join(sorted(SANITIZER_IDS))}"
+        )
+    return checks
 
 
 class InvariantViolation(RuntimeError):
@@ -97,13 +111,19 @@ def env_sanitize() -> bool:
 
 
 def env_checks() -> frozenset[str] | None:
-    """Checkpoint subset named by ``REPRO_SANITIZE`` (``None`` = all)."""
-    value = os.environ.get("REPRO_SANITIZE", "")
-    ids = frozenset(
-        part.strip().upper() for part in value.split(",")
-        if part.strip().upper().startswith("S")
-    )
-    return ids or None
+    """Checkpoint subset named by ``REPRO_SANITIZE`` (``None`` = all).
+
+    ``1``/``true``/``on``/``yes`` select every check; anything else must
+    be a comma-separated list of :data:`SANITIZER_IDS`.
+    """
+    parts = [
+        part.strip().upper()
+        for part in os.environ.get("REPRO_SANITIZE", "").split(",")
+        if part.strip()
+    ]
+    if not parts or (len(parts) == 1 and parts[0] in _ENV_ALL):
+        return None
+    return _known_checks(parts)
 
 
 def current_sanitizer() -> "Sanitizer | None":
@@ -157,8 +177,9 @@ class Sanitizer:
     """Re-derives incremental structures from scratch at checkpoints.
 
     ``checks`` restricts the audited rule ids (default: all of
-    ``S001``-``S005``); ``num_cycles``/``seed`` parameterize the packed
-    functional comparisons of S003/S005.  ``self.checks_run`` counts
+    :data:`SANITIZER_IDS`; an unknown id raises ``ValueError``);
+    ``num_cycles``/``seed`` parameterize the packed functional
+    comparisons of S003/S005.  ``self.checks_run`` counts
     performed audits, ``self.violations`` the failures raised.
     """
 
@@ -168,7 +189,7 @@ class Sanitizer:
         num_cycles: int = 32,
         seed: int = 0,
     ) -> None:
-        self.enabled = frozenset(checks) if checks is not None else None
+        self.enabled = _known_checks(checks) if checks is not None else None
         self.num_cycles = num_cycles
         self.seed = seed
         self.checks_run = 0
@@ -376,44 +397,6 @@ class Sanitizer:
                 f"fresh elaboration (outputs {bad[:8]} differ)", **prov,
             )
 
-    # -- S004 ------------------------------------------------------------
-    def check_timing(
-        self,
-        timing: "IncrementalTiming",
-        delta: "DeltaNetlist",
-        report: "TimingReport",
-    ) -> None:
-        """S004: the overlay-assembled report equals ``analyze_timing``
-        on a fresh elaboration of the delta's graph."""
-        if not self.wants("S004"):
-            return
-        self.checks_run += 1
-        from ..synth.elaborate import elaborate
-        from ..synth.timing import analyze_timing
-
-        reference = analyze_timing(
-            elaborate(delta.graph, check=False),
-            timing.clock_period,
-            timing.library,
-            timing.strength,
-        )
-        if (
-            report.endpoint_slacks != reference.endpoint_slacks
-            or report.wns != reference.wns
-            or report.tns != reference.tns
-            or report.nvp != reference.nvp
-        ):
-            prov = _graph_provenance(delta.graph)
-            prov["patched_nodes"] = sorted(delta.patched)
-            self._fail(
-                "S004",
-                "incremental timing report "
-                f"(wns={report.wns}, tns={report.tns}, nvp={report.nvp}) "
-                "diverges from analyze_timing on a fresh elaboration "
-                f"(wns={reference.wns}, tns={reference.tns}, "
-                f"nvp={reference.nvp})", **prov,
-            )
-
     # -- S005 ------------------------------------------------------------
     def check_simulator(
         self,
@@ -517,45 +500,6 @@ class Sanitizer:
                 "delta-mode redundancy report diverges from the full "
                 f"fixpoint in {', '.join(mismatches)}",
                 nodes=bad[:16], **prov,
-            )
-
-
-    # -- S008 ------------------------------------------------------------
-    def check_cross_circuit(
-        self,
-        evaluator: Any,
-        graph: "CircuitGraph",
-        register: int,
-        signature: Any,
-    ) -> None:
-        """S008: a cross-circuit queue signature equals a fresh solo
-        evaluator's -- the shared stimulus pool and the per-circuit
-        delta/simulator caches must never mix state across circuits."""
-        if not self.wants("S008"):
-            return
-        self.checks_run += 1
-        from ..mcts.reward import ConeBatchEvaluator
-
-        solo = ConeBatchEvaluator(
-            num_cycles=evaluator.num_cycles, seed=evaluator.seed
-        )
-        # The reference derivation runs outside the sanitizing context:
-        # its own delta/simulator checkpoints are not under audit here
-        # and must not re-enter the sanitizer.
-        token = _ACTIVE.set(None)
-        try:
-            reference = solo.signature(graph, register)
-        finally:
-            _ACTIVE.reset(token)
-        if signature.words != reference.words:
-            prov = _graph_provenance(graph)
-            prov["circuit_key"] = getattr(evaluator, "circuit_key", None)
-            self._fail(
-                "S008",
-                f"cross-circuit signature of register {register} diverges "
-                "from a solo re-derivation (stimulus or state leaked "
-                "across the circuit boundary)",
-                nodes=[register], **prov,
             )
 
 

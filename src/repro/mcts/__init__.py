@@ -2,7 +2,6 @@
 
 from .actions import Swap, SwapIndex, apply_swap, is_applicable, sample_swaps
 from .cones import Cone, all_cones, cone_subcircuit, driving_cone
-from .crossq import CrossCircuitQueue
 from .discriminator import (
     PCSDiscriminator,
     collect_training_set,
@@ -34,7 +33,6 @@ __all__ = [
     "Cone",
     "ConeBatchEvaluator",
     "ConeSignature",
-    "CrossCircuitQueue",
     "graph_features",
     "ConeSearchResult",
     "MCTSConfig",

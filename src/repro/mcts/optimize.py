@@ -51,19 +51,20 @@ class MCTSConfig:
     cone's best state is only committed if the *true* post-synthesis PCS
     improved.
 
-    ``delta_analysis`` routes the incremental reward's redundancy
-    fixpoint through the analyzer's dirty-cone delta mode (baseline
+    ``delta`` is the one switch between the incremental engine's
+    shortcuts and their reference paths (see
+    :class:`~repro.incr.IncrementalReward`).  ``True`` routes the
+    redundancy fixpoint through the analyzer's dirty-cone mode (baseline
     captured at each rebase, re-converged only over the edit's affected
-    cone).  ``delta_oracle`` rebuilds the acceptance oracle on the delta
-    substrate (:class:`~repro.incr.DeltaOracle`): candidate netlists are
-    materialized from the engine's delta lineage instead of a fresh
-    re-elaboration, then optimized and scored with a canonical area
-    fold.  Both shortcuts are continuously cross-checked by the
-    differential fuzz tier, fall back to the full path whenever their
-    preconditions fail, and record any divergence in
-    :class:`OptimizationReport`; either flag restores the reference
-    path wholesale.  Both apply only when the incremental engine is in
-    play (``incremental=True``, no explicit ``reward_fn``).
+    cone) and rebuilds the acceptance oracle on the delta substrate
+    (:class:`~repro.incr.DeltaOracle`: candidate netlists materialized
+    from the engine's delta lineage instead of a fresh re-elaboration).
+    ``False`` runs the full fixpoint and a fresh-synthesis oracle -- the
+    reference the differential fuzz tier checks the shortcuts against,
+    bit for bit.  Both shortcuts fall back to the full path whenever
+    their preconditions fail and record any divergence in
+    :class:`OptimizationReport`.  Applies only when the incremental
+    engine is in play (``incremental=True``, no explicit ``reward_fn``).
 
     ``cache_rewards`` memoizes reward evaluations on a structural
     fingerprint per cone search (:class:`~repro.mcts.reward.CachedReward`).
@@ -106,13 +107,14 @@ class MCTSConfig:
 
     ``sanitize`` audits the run with :mod:`repro.lint.sanitize`: every
     incrementally maintained structure the search touches (GraphView
-    wiring memos, the SwapIndex edge cache, delta netlists, timing
-    overlays, patched simulator plans) is cross-checked against a
-    from-scratch recomputation at its checkpoints, raising
-    :class:`~repro.lint.InvariantViolation` on divergence.  Pure
-    auditing: a sanitized run's result is bit-identical to an
-    unsanitized one.  The ``REPRO_SANITIZE`` environment variable turns
-    this on globally without touching configs.
+    wiring memos, the SwapIndex edge cache, delta netlists, the area
+    memo, patched simulator plans, dirty-cone analysis) is
+    cross-checked against a from-scratch recomputation at its
+    checkpoints, raising :class:`~repro.lint.InvariantViolation` on
+    divergence.  Pure auditing: a sanitized run's result is
+    bit-identical to an unsanitized one.  The ``REPRO_SANITIZE``
+    environment variable turns this on globally without touching
+    configs.
     """
 
     num_simulations: int = 500
@@ -122,8 +124,7 @@ class MCTSConfig:
     clock_period: float = 2.0
     incremental: bool = True
     verify_with_synthesis: bool = True
-    delta_analysis: bool = True
-    delta_oracle: bool = True
+    delta: bool = True
     cache_rewards: bool = True
     track_cone_function: bool = True
     require_functional_equivalence: bool = False
@@ -154,14 +155,14 @@ class OptimizationReport:
     #: Dirty-cone redundancy-analysis outcomes (delta-mode analyze calls
     #: that reused the baseline / fell back to the full fixpoint / hit an
     #: unexpected exception and disabled the shortcut).  All zero when
-    #: ``delta_analysis`` is off or the incremental engine is not used.
+    #: ``delta`` is off or the incremental engine is not used.
     analysis_delta_hits: int = 0
     analysis_fallbacks: int = 0
     analysis_divergences: int = 0
     #: Delta-substrate oracle outcomes (candidates scored from a
     #: materialized delta netlist / via fresh elaboration / divergences
     #: that flipped the oracle to the reference path).  All zero when
-    #: ``delta_oracle`` is off or no oracle ran.
+    #: ``delta`` is off or no oracle ran.
     oracle_delta_hits: int = 0
     oracle_fallbacks: int = 0
     oracle_divergences: int = 0
@@ -228,15 +229,14 @@ def _resolve_search_rewards(config: MCTSConfig, reward_fn: RewardFn | None):
         from ..incr import IncrementalReward
 
         incremental = IncrementalReward(
-            clock_period=config.clock_period,
-            delta_analysis=config.delta_analysis,
+            clock_period=config.clock_period, delta=config.delta,
         )
         search_base = incremental
     oracle = None
     if config.verify_with_synthesis and not isinstance(
         search_base, SynthesisReward
     ):
-        if incremental is not None and config.delta_oracle:
+        if incremental is not None and incremental.delta:
             from ..incr import DeltaOracle
 
             # Acceptance on the delta substrate: candidate netlists are
@@ -256,17 +256,8 @@ def optimize_registers(
     config: MCTSConfig | None = None,
     registers: list[int] | None = None,
     verbose: bool = False,
-    evaluator: ConeBatchEvaluator | None = None,
 ) -> OptimizationReport:
-    """MCTS optimization of each register cone; returns G_opt.
-
-    ``evaluator`` injects the cone-equivalence evaluator -- the fast
-    tier passes a per-circuit view of a shared
-    :class:`~repro.mcts.crossq.CrossCircuitQueue` so stimulus words are
-    derived once per (marker, bit) across a whole ``generate_batch``.
-    When ``None``, a private :class:`ConeBatchEvaluator` is built as
-    before.
-    """
+    """MCTS optimization of each register cone; returns G_opt."""
     config = config or MCTSConfig()
     search_base, incremental, oracle = _resolve_search_rewards(
         config, reward_fn
@@ -292,13 +283,11 @@ def optimize_registers(
     # One evaluator for the whole run: its packed stimulus words are keyed
     # by original-graph node ids, so every candidate netlist (across all
     # cones) is driven by the same shared stimulus.
-    if evaluator is None:
-        evaluator = (
-            ConeBatchEvaluator(seed=config.seed)
-            if track_function
-            or config.require_functional_equivalence
-            else None
-        )
+    evaluator = (
+        ConeBatchEvaluator(seed=config.seed)
+        if track_function or config.require_functional_equivalence
+        else None
+    )
 
     cones = all_cones(current)
     triaged = False
@@ -322,7 +311,7 @@ def optimize_registers(
         triaged = True
     # The sanitizing context is a no-op for sanitizer=None; inside it the
     # incremental machinery's checkpoints (SwapIndex, delta netlists,
-    # timing overlays, patched simulators) audit themselves.
+    # patched simulators, dirty-cone analysis) audit themselves.
     if triaged:
         from ..tiers import FAST_EXIT_PATIENCE
         patience = FAST_EXIT_PATIENCE
@@ -572,7 +561,6 @@ def random_search_registers(
     reward_fn: RewardFn | None = None,
     config: MCTSConfig | None = None,
     verbose: bool = False,
-    evaluator: ConeBatchEvaluator | None = None,
 ) -> OptimizationReport:
     """Ablation baseline: random valid swaps with the same budget.
 
@@ -595,11 +583,10 @@ def random_search_registers(
         oracle(current) if oracle is not None and incremental is None
         else None
     )
-    if evaluator is None:
-        evaluator = (
-            ConeBatchEvaluator(seed=config.seed)
-            if config.require_functional_equivalence else None
-        )
+    evaluator = (
+        ConeBatchEvaluator(seed=config.seed)
+        if config.require_functional_equivalence else None
+    )
 
     with sanitizing(sanitizer):
         for cone in all_cones(current):

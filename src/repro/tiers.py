@@ -23,13 +23,13 @@ Every numeric path in the pipeline belongs to one of two tiers:
   the total headroom; designs that synthesize to nothing search every
   cone until rescued -- see ``_triage_cones``), marginal estimate
   gains below :data:`FAST_ORACLE_MARGIN` skip their synthesis-oracle
-  call, the per-acceptance cone-function diagnostic defers to the
-  batch-level drift gate, and candidate cones from *different*
-  circuits share one packed-stimulus word pool
-  (:class:`repro.mcts.crossq.CrossCircuitQueue`).  Acceptance stays
-  oracle-gated in both tiers.  The differential harness in
-  :mod:`repro.bench.drift` measures the SCPR/area drift of ``fast``
-  vs ``exact`` per design family and tier-1 enforces
+  call, and the per-acceptance cone-function diagnostic defers to the
+  batch-level drift gate (``require_functional_equivalence`` still
+  gates every improved cone, through the same per-circuit
+  :class:`~repro.mcts.reward.ConeBatchEvaluator` the exact tier uses).
+  Acceptance stays oracle-gated in both tiers.  The differential
+  harness in :mod:`repro.bench.drift` measures the SCPR/area drift of
+  ``fast`` vs ``exact`` per design family and tier-1 enforces
   :data:`FAST_SCPR_TOLERANCE` / :data:`FAST_AREA_TOLERANCE` on it.
 
 The tier is threaded end to end: ``MCTSConfig.tier`` (config),

@@ -269,21 +269,6 @@ class TestGeneration:
 
 # ---------------------------------------------------------------------------
 class TestCompat:
-    def test_pipeline_shim_warns_and_resolves(self):
-        import repro.pipeline as pipeline
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            cls = pipeline.SynCircuit
-        from repro.api import SynCircuit
-
-        assert cls is SynCircuit
-
-    def test_pipeline_shim_unknown_attribute(self):
-        import repro.pipeline as pipeline
-
-        with pytest.raises(AttributeError):
-            pipeline.does_not_exist
-
     def test_top_level_lazy_exports(self):
         import repro
 

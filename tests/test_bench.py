@@ -134,20 +134,6 @@ class TestSuite:
         assert packed.ops == by_name["simulate.scalar"].ops > 0
         assert report.suite == "smoke" and report.config_fingerprint
 
-    def test_batch_queue_reports_ms_per_candidate(self):
-        report = run_suite(
-            preset="smoke", repeats=1, warmup=0,
-            filter_pattern="incr.batch_queue",
-        )
-        (record,) = report.records
-        per_candidate = record.meta["ms_per_candidate"]
-        assert per_candidate == pytest.approx(
-            record.wall_best * 1000.0 / record.ops, rel=1e-3
-        )
-        # The ROADMAP target the CI job tracks: compile/patch cost per
-        # candidate stays well under the pre-patchable ~1.2ms floor.
-        assert per_candidate < 1.0
-
     def test_profile_rendering_shows_drift(self):
         from repro.bench import render_profile
 

@@ -1,9 +1,9 @@
 """Differential gate for the delta-driven reward path.
 
-The two shortcuts behind ``MCTSConfig.delta_analysis`` /
-``MCTSConfig.delta_oracle`` -- the dirty-cone redundancy fixpoint and
-the delta-substrate acceptance oracle -- are only allowed to ship while
-this module proves them bit-faithful:
+The two shortcuts behind ``MCTSConfig.delta`` -- the dirty-cone
+redundancy fixpoint and the delta-substrate acceptance oracle -- are
+only allowed to ship while this module proves them bit-faithful against
+the reference path ``delta=False`` selects:
 
 * delta analysis == full fixpoint (refs, kept, rewired, live) on every
   state of every random edit chain;
@@ -213,8 +213,11 @@ class TestSearchLevelDifferential:
     @staticmethod
     def _run_both(graph, **overrides):
         reference = optimize_registers(graph, config=MCTSConfig(
-            delta_analysis=False, delta_oracle=False, **overrides,
+            delta=False, **overrides,
         ))
+        # The reference configuration must not touch either shortcut.
+        assert reference.analysis_delta_hits == 0
+        assert reference.oracle_delta_hits == 0
         delta = optimize_registers(graph, config=MCTSConfig(**overrides))
         return reference, delta
 
@@ -247,8 +250,7 @@ class TestSearchLevelDifferential:
         report and degrade to the full fixpoint -- same search result."""
         graph = load_design("uart_tx")
         reference = optimize_registers(graph, config=MCTSConfig(
-            num_simulations=30, seed=1,
-            delta_analysis=False, delta_oracle=False,
+            num_simulations=30, seed=1, delta=False,
         ))
 
         def boom(self, *args, **kwargs):
@@ -256,7 +258,7 @@ class TestSearchLevelDifferential:
 
         monkeypatch.setattr(RedundancyAnalyzer, "_delta_analyze", boom)
         report = optimize_registers(graph, config=MCTSConfig(
-            num_simulations=30, seed=1, delta_oracle=False,
+            num_simulations=30, seed=1, delta=True,
         ))
         assert report.analysis_divergences >= 1
         assert report.analysis_delta_hits == 0
@@ -269,8 +271,7 @@ class TestSearchLevelDifferential:
         the search result untouched."""
         graph = load_design("uart_tx")
         reference = optimize_registers(graph, config=MCTSConfig(
-            num_simulations=30, seed=1,
-            delta_analysis=False, delta_oracle=False,
+            num_simulations=30, seed=1, delta=False,
         ))
 
         def boom(self, graph):
@@ -278,7 +279,7 @@ class TestSearchLevelDifferential:
 
         monkeypatch.setattr(DeltaOracle, "_materialized_delta", boom)
         report = optimize_registers(graph, config=MCTSConfig(
-            num_simulations=30, seed=1, delta_analysis=False,
+            num_simulations=30, seed=1, delta=True,
         ))
         assert report.oracle_divergences == 1  # flips off after the first
         assert report.oracle_delta_hits == 0

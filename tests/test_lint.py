@@ -2,7 +2,6 @@
 cleanliness (zero false positives), the runtime sanitizer's tamper
 detection, and the lint/sanitize wiring through the API and CLI."""
 
-import dataclasses
 import json
 import warnings
 
@@ -50,7 +49,9 @@ class TestFramework:
         ids = {rule.id for rule in rule_catalog()}
         assert {f"L00{k}" for k in range(1, 9)} <= ids
         assert {"N001", "N002", "N003"} <= ids
-        assert {f"S00{k}" for k in range(1, 9)} <= ids
+        # S004 and S008 are retired; the remaining ids keep their numbers.
+        assert {"S001", "S002", "S003", "S005", "S006", "S007"} <= ids
+        assert not {"S004", "S008"} & ids
 
     def test_severity_policy(self):
         # Structural invalidity is an error; an unused port is a
@@ -306,20 +307,6 @@ class TestSanitizerInjection:
         honest = base.apply_edit(view, [ids["s"]])
         Sanitizer().check_delta(honest)  # must not raise
 
-    def test_s004_tampered_timing_report(self):
-        from repro.incr import DeltaNetlist, IncrementalTiming
-
-        g, _ = _clean_graph()
-        base = DeltaNetlist.from_graph(g, check=False)
-        timing = IncrementalTiming(base, clock_period=2.0)
-        report = timing.update(base)
-        sanitizer = Sanitizer()
-        sanitizer.check_timing(timing, base, report)  # honest: ok
-        bad = dataclasses.replace(report, wns=report.wns - 1.0)
-        with pytest.raises(InvariantViolation) as exc:
-            sanitizer.check_timing(timing, base, bad)
-        assert exc.value.diagnostic.rule == "S004"
-
     def test_s005_tampered_output_words(self):
         from repro.incr import DeltaNetlist
         from repro.synth.simulate import (
@@ -399,35 +386,18 @@ class TestSanitizerInjection:
         assert exc.value.diagnostic.provenance["touched"] == touched
         assert exc.value.diagnostic.provenance["overlay_nodes"] == [ids["s"]]
 
-    def test_s008_poisoned_shared_word_pool(self):
-        from repro.mcts import CrossCircuitQueue
-        from repro.mcts.cones import all_cones
-
-        g, _ = _clean_graph()
-        cone = next(c for c in all_cones(g) if c.interior)
-        queue = CrossCircuitQueue(seed=0)
-        with sanitizing(Sanitizer(checks=["S008"])) as sanitizer:
-            queue.evaluator(0).signature(g, cone.register)  # honest: ok
-        assert sanitizer.checks_run == 1 and sanitizer.violations == 0
-        # Poison one shared stimulus word: every circuit served from the
-        # pool now sees stimulus a solo evaluator would never derive.
-        key = next(iter(queue._words))
-        queue._words[key] ^= 0xFFFF
-        # Drop the patch lineage so the next signature re-reads inputs.
-        queue.evaluator(0)._cone_deltas.clear()
-        queue.evaluator(0)._cone_sims.clear()
-        with pytest.raises(InvariantViolation) as exc:
-            with sanitizing(Sanitizer(checks=["S008"])):
-                queue.evaluator(0).signature(g, cone.register)
-        assert exc.value.diagnostic.rule == "S008"
-        assert exc.value.diagnostic.nodes == [cone.register]
-        assert exc.value.diagnostic.provenance["circuit_key"] == 0
-
     def test_checks_subset_restricts_audits(self):
         g, ids = _clean_graph()
         sanitizer = Sanitizer(checks=["S001"])
         sanitizer.check_swap_index(g, {ids["r"]}, [], [])  # S002 disabled
         assert sanitizer.checks_run == 0
+
+    @pytest.mark.parametrize("checks", [["S004"], ["S008"], ["S001", "S01"]])
+    def test_unknown_check_ids_rejected(self, checks):
+        # Retired (S004, S008) or mistyped ids must not silently narrow
+        # the audit to nothing.
+        with pytest.raises(ValueError, match="S001, S002, S003, S005"):
+            Sanitizer(checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +480,16 @@ class TestSanitizedSearch:
 
         monkeypatch.setenv("REPRO_SANITIZE", "0")
         assert from_config(False) is None
+
+    @pytest.mark.parametrize("value", ["S004", "S001,S008", "S0O1", "enable"])
+    def test_env_var_rejects_unknown_ids(self, monkeypatch, value):
+        from repro.lint.sanitize import env_checks, from_config
+
+        monkeypatch.setenv("REPRO_SANITIZE", value)
+        with pytest.raises(ValueError, match="unknown sanitizer check"):
+            env_checks()
+        with pytest.raises(ValueError, match="unknown sanitizer check"):
+            from_config(False)
 
     def test_context_is_scoped(self):
         from repro.lint.sanitize import current_sanitizer, is_sanitizing
@@ -605,28 +585,23 @@ class TestLintWiring:
 
 
 # ---------------------------------------------------------------------------
-# The repro.ir.validate deprecation shim
+# The constraint checks re-exported from repro.ir (lazily, no shim module)
 # ---------------------------------------------------------------------------
 class TestValidateShim:
-    def test_shim_attribute_access_warns(self):
-        import repro.ir.validate as shim
-
-        with pytest.warns(DeprecationWarning, match="assert_valid"):
-            shim.assert_valid
-        with pytest.raises(AttributeError):
-            shim.not_a_name
-
     def test_package_reexport_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            from repro.ir import assert_valid  # noqa: F401
+            from repro.ir import assert_valid, validate  # noqa: F401
             from repro.lint import validate as _validate  # noqa: F401
 
     def test_shim_resolves_same_objects(self):
-        import repro.ir.validate as shim
+        """The lazy ``repro.ir`` re-export hands out the constraint
+        module's own objects and rejects names it does not re-export."""
+        import repro.ir
         from repro.lint import constraints
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert shim.validate is constraints.validate
-            assert shim.ValidationReport is constraints.ValidationReport
+        assert repro.ir.validate is constraints.validate
+        assert repro.ir.ValidationReport is constraints.ValidationReport
+        assert repro.ir.assert_valid is constraints.assert_valid
+        with pytest.raises(AttributeError):
+            repro.ir.not_a_name

@@ -351,6 +351,74 @@ class TestConeBatchEvaluator:
         # Second candidate re-used every packed stimulus word.
         assert evaluator._words == words_after_first
 
+    def test_rejects_bad_cycle_count(self):
+        from repro.mcts import ConeBatchEvaluator
+
+        with pytest.raises(ValueError, match="num_cycles"):
+            ConeBatchEvaluator(num_cycles=0)
+
+    def test_stimulus_word_memoized(self):
+        from repro.mcts import ConeBatchEvaluator
+
+        evaluator = ConeBatchEvaluator(num_cycles=32, seed=9)
+        word = evaluator._word_for("a_0[0]", 0)
+        assert evaluator._word_for("a_0[0]", 0) == word
+        assert list(evaluator._words) == [("a_0[0]", 0)]
+        assert 0 <= word < (1 << 32)
+
+    def test_stimulus_word_is_pure_per_marker_bit(self):
+        """Every boundary bit's word is derived once and is a pure
+        function of (seed, marker, cycles, bit): evaluators built with
+        the same seed drive every circuit with the same stimulus."""
+        from repro.bench_designs import load_design
+        from repro.mcts import ConeBatchEvaluator
+        from repro.synth.simulate import packed_stimulus_word
+
+        evaluator = ConeBatchEvaluator(num_cycles=32, seed=5)
+        g = load_design("alu")
+        evaluator.signature(g, g.registers()[0])
+        assert evaluator._words
+        for (marker, bit), word in evaluator._words.items():
+            assert word == packed_stimulus_word(5, marker, 32, salt=bit)
+
+    def test_same_seed_evaluators_agree_across_designs(self):
+        from repro.bench_designs import load_design
+        from repro.mcts import ConeBatchEvaluator
+
+        shared = ConeBatchEvaluator(num_cycles=64, seed=0)
+        for name in ("alu", "uart_tx"):
+            g = load_design(name)
+            for register in g.registers()[:3]:
+                solo = ConeBatchEvaluator(num_cycles=64, seed=0)
+                assert shared.signature(g, register) == solo.signature(
+                    g, register
+                )
+
+    def test_swaps_change_cone_function(self):
+        """Swaps rewire real logic: along a swap chain inside one cone,
+        at least one candidate computes a different function."""
+        from repro.bench_designs import load_design
+        from repro.mcts import ConeBatchEvaluator
+
+        g = load_design("alu")
+        register = g.registers()[0]
+        cone = driving_cone(g, register)
+        rng = np.random.default_rng(4)
+        candidates = [g]
+        state = g
+        for _ in range(24):
+            swaps = sample_swaps(state, [register, *cone.interior], rng, 1)
+            if not swaps:
+                break
+            nxt = apply_swap(state, swaps[0])
+            if nxt is not None:
+                state = nxt
+                candidates.append(state)
+        evaluator = ConeBatchEvaluator(num_cycles=64, seed=1)
+        assert evaluator.distinct_functions(candidates, register) >= 2
+        assert evaluator.signature(g, register) \
+            == ConeBatchEvaluator(num_cycles=64, seed=1).signature(g, register)
+
     def test_function_preservation_reported(self):
         g = redundant_design()
         cfg = MCTSConfig(num_simulations=25, max_depth=4, branching=4, seed=2)

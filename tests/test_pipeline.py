@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.api import SynCircuit, SynCircuitConfig
 from repro.bench_designs import load_corpus
 from repro.diffusion import DiffusionConfig
 from repro.hdl import generate_verilog, parse_verilog
 from repro.ir import validate
 from repro.mcts import MCTSConfig
-from repro.pipeline import SynCircuit, SynCircuitConfig
 from repro.synth import synthesize
 
 
@@ -34,6 +34,19 @@ class TestFit:
     def test_generate_requires_fit(self):
         with pytest.raises(RuntimeError):
             SynCircuit(_fast_config()).generate(1, 20)
+
+    def test_fit_then_generate_returns_api_records(self):
+        from repro.api import GenerationRecord
+
+        config = SynCircuitConfig(
+            diffusion=DiffusionConfig(epochs=4, hidden=12, num_layers=2),
+            mcts=MCTSConfig(num_simulations=5, max_depth=3, branching=3),
+        )
+        engine = SynCircuit(config).fit(load_corpus()[:3])
+        record = engine.generate(1, 24, optimize=False, seed=0)[0]
+        assert isinstance(record, GenerationRecord)
+        assert validate(record.g_val).ok
+        assert record.graph is record.g_val
 
 
 class TestGenerate:

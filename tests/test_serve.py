@@ -722,15 +722,14 @@ def batch_session(tmp_path_factory):
 def _fail_at(session, failing_index, monkeypatch, slow=0.0, invoked=None):
     original = session._generate_item
 
-    def instrumented(index, rng, request, num_nodes, presampled=None,
-                     queue=None):
+    def instrumented(index, rng, request, num_nodes, presampled=None):
         if invoked is not None:
             invoked.add(index)
         if index == failing_index:
             raise ValueError(f"synthetic failure at {index}")
         if slow:
             time.sleep(slow)
-        return original(index, rng, request, num_nodes, presampled, queue)
+        return original(index, rng, request, num_nodes, presampled)
 
     monkeypatch.setattr(session, "_generate_item", instrumented)
 

@@ -207,7 +207,7 @@ class TestPatchableSimulator:
             if successor is None:
                 continue
             state = successor
-            # Chain the delta like CandidateQueue does (one edit deep).
+            # Chain the delta one edit deep, as ConeBatchEvaluator does.
             delta = delta.apply_edit(state)
             reference_netlist = delta.materialize()
             reference = BitParallelSimulator(reference_netlist)

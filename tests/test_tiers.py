@@ -27,13 +27,10 @@ from repro import tiers
 from repro.api import GenerateRequest, Session
 from repro.api.presets import resolve_preset
 from repro.bench.drift import measure_drift
-from repro.bench_designs import load_corpus, load_design
+from repro.bench_designs import load_corpus
 from repro.diffusion import sample_batch, sample_initial_graph, train_diffusion
-from repro.mcts import ConeBatchEvaluator
-from repro.mcts.crossq import CrossCircuitQueue
 from repro.mcts.reward import structural_fingerprint
 from repro.obs import registry
-from repro.synth.simulate import packed_stimulus_word
 
 
 @pytest.fixture(scope="module")
@@ -217,49 +214,6 @@ class TestDriftGate:
         assert family.area_drift == 0.0
 
 
-class TestCrossCircuitQueue:
-    def test_word_pool_derives_once(self):
-        queue = CrossCircuitQueue(num_cycles=32, seed=5)
-        first = queue.word_for("node7", 0)
-        again = queue.word_for("node7", 0)
-        other_bit = queue.word_for("node7", 1)
-        assert first == again
-        assert first == packed_stimulus_word(5, "node7", 32, salt=0)
-        assert other_bit == packed_stimulus_word(5, "node7", 32, salt=1)
-        assert queue.words_derived == 2
-        assert queue.words_served == 3
-
-    def test_evaluator_views_are_per_circuit(self):
-        queue = CrossCircuitQueue()
-        a = queue.evaluator("left")
-        b = queue.evaluator("right")
-        assert a is queue.evaluator("left")
-        assert a is not b
-        assert a.circuit_key == "left"
-
-    def test_shared_pool_signatures_match_solo(self):
-        queue = CrossCircuitQueue(num_cycles=64, seed=0)
-        items = []
-        for key, name in enumerate(("alu", "uart_tx")):
-            graph = load_design(name)
-            for register in graph.registers()[:3]:
-                items.append((key, graph, register))
-        shared = queue.evaluate(items)
-        assert len(shared) == len(items)
-        for (key, graph, register), got in zip(items, shared):
-            solo = ConeBatchEvaluator(num_cycles=64, seed=0).signature(
-                graph, register
-            )
-            assert got == solo
-        # The pool only ever derives a word once, however many circuits
-        # ask for it.
-        assert queue.words_derived <= queue.words_served
-
-    def test_rejects_bad_cycle_count(self):
-        with pytest.raises(ValueError, match="num_cycles"):
-            CrossCircuitQueue(num_cycles=0)
-
-
 def test_bench_suite_exposes_throughput_entries():
     from repro.bench.suites import build_suite
 
@@ -267,7 +221,6 @@ def test_bench_suite_exposes_throughput_entries():
     names = [benchmark.name for benchmark in build_suite(config)]
     for name in (
         "diffusion.fused_gemm",
-        "mcts.cross_circuit_queue",
         "e2e.generate_batch",
         "e2e.generate_fast",
     ):
