@@ -14,7 +14,6 @@ import numpy as np
 
 from ..obs import get_logger, registry, span
 from ..tiers import EXACT_TIER, FAST_TIER, check_tier
-from .model import DenoisingNetwork
 from .train import TrainedDiffusion
 
 logger = get_logger(__name__)
@@ -151,146 +150,104 @@ def sample_batch(
         "(1.0 = fully fused forwards)",
     ).set(fill)
 
-    model = trained.model
-    steps = trained.schedule.num_steps
+    # One reverse walk over "packs" of items that share a forward: the
+    # exact tier packs by node count, the fast tier packs everything.
+    packs = (
+        list(groups.values()) if tier == EXACT_TIER
+        else [list(range(total))] if total else []
+    )
     with span(
         "diffusion.sample_batch",
-        items=len(sizes), groups=len(groups), steps=steps, tier=tier,
+        items=len(sizes), groups=len(groups),
+        steps=trained.schedule.num_steps, tier=tier,
     ):
-        if tier == FAST_TIER:
-            _sample_fused(trained, model, steps, sizes, attrs, rngs, results)
-        else:
-            _sample_groups(
-                trained, model, steps, groups, attrs, rngs, results
-            )
+        for members in packs:
+            _sample_pack(trained, members, attrs, rngs, results,
+                         fused=tier == FAST_TIER)
     return results  # type: ignore[return-value]
 
 
-def _sample_fused(
+def _sample_pack(
     trained: TrainedDiffusion,
-    model: DenoisingNetwork,
-    steps: int,
-    sizes: list[int],
+    members: list[int],
     attrs: list[tuple[np.ndarray, np.ndarray]],
     rngs: list[np.random.Generator],
     results: list[SampleResult | None],
+    fused: bool,
 ) -> None:
-    """Fast-tier reverse walk: every item in one fused forward per step."""
-    from .features import width_bucket
-    from .schedule import NoiseSchedule
+    """Walk the reverse process for one pack of items in lockstep.
 
-    distinct = sorted({int(n) for n in sizes})
+    Per step, one forward scores the whole pack --
+    :meth:`~repro.diffusion.model.DenoisingNetwork.predict_full_batch`
+    for a same-size pack (exact tier), or
+    :meth:`~repro.diffusion.model.DenoisingNetwork.predict_full_fused`
+    when ``fused`` (fast tier, sizes may differ) -- and one posterior
+    call covers the pack, zero-padded to its largest item with each
+    item's own stationary density.  Every stochastic draw comes from
+    the item's own generator, in :func:`sample_initial_graph`'s order.
+    """
+    from .features import width_bucket
+    from .schedule import NoiseSchedule, d3pm_posterior
+
+    model = trained.model
+    steps = trained.schedule.num_steps
+    sizes = [len(attrs[k][0]) for k in members]
     schedules = {
         n: NoiseSchedule.cosine(steps, trained.target_density(n))
-        for n in distinct
+        for n in sorted(set(sizes))
     }
-    biases = {n: trained.calibration_bias(n) for n in distinct}
-    types = [np.asarray(attrs[k][0], dtype=np.int64) for k in range(len(sizes))]
-    widths = [np.asarray(attrs[k][1], dtype=np.int64) for k in range(len(sizes))]
+    biases = [trained.calibration_bias(n) for n in sizes]
+    types = [np.asarray(attrs[k][0], dtype=np.int64) for k in members]
+    widths = [np.asarray(attrs[k][1], dtype=np.int64) for k in members]
     buckets = [
         np.array([width_bucket(int(w)) for w in row], dtype=np.int64)
         for row in widths
     ]
-    # Same per-item rng consumption order as the exact path: attributes
-    # (already drawn), then the prior, then one draw per step.
+    # Attributes are already drawn; next come the prior, then one draw
+    # per step.
     a_t = [
-        schedules[int(n)].prior_sample((int(n), int(n)), rngs[k])
-        for k, n in enumerate(sizes)
+        schedules[n].prior_sample((n, n), rngs[k])
+        for k, n in zip(members, sizes)
     ]
-    p_x0 = [
-        np.full((int(n), int(n)), schedules[int(n)].noise_density)
-        for n in sizes
-    ]
-    # The forward is fused across everything; so is the posterior: all
-    # items share one padded (B, Nmax, Nmax) stack per step (the cosine
-    # beta/alpha-bar depend only on the step count, so only the
-    # per-item stationary density varies -- it broadcasts).  Each
-    # item's rng draw stays private and in order.
-    from .schedule import fused_posterior
-
-    count = len(sizes)
-    nmax = max(int(n) for n in sizes)
+    p_x0 = [np.full((n, n), schedules[n].noise_density) for n in sizes]
+    # The cosine beta/alpha-bar depend only on the step count, so only
+    # the stationary density varies across the pack -- it broadcasts.
+    shared = schedules[sizes[0]]
     density = np.array(
-        [schedules[int(n)].noise_density for n in sizes]
-    ).reshape(count, 1, 1)
-    shared = schedules[int(sizes[0])]  # beta/alpha_bar: size-invariant
-    a_pad = np.zeros((count, nmax, nmax))
-    p_pad = np.zeros((count, nmax, nmax))
-    consts = model.fused_step_constants(steps)
+        [schedules[n].noise_density for n in sizes]
+    ).reshape(-1, 1, 1)
+    nmax = max(sizes)
+    a_pad = np.zeros((len(sizes), nmax, nmax))
+    p_pad = np.zeros((len(sizes), nmax, nmax))
+    consts = model.fused_step_constants(steps) if fused else None
     for t in range(steps, 0, -1):
-        items = [
-            (types[k], buckets[k], a_t[k], biases[int(sizes[k])])
-            for k in range(len(sizes))
-        ]
-        p_x0 = model.predict_full_fused(items, t / steps, consts=consts[t])
-        if t > 1:
-            for k, n in enumerate(sizes):
-                a_pad[k, :n, :n] = a_t[k]
-                p_pad[k, :n, :n] = p_x0[k]
-            p_prev = fused_posterior(
-                a_pad, p_pad, t,
-                shared.beta[t], shared.alpha_bar[t - 1], density,
+        if consts is not None:
+            p_x0 = model.predict_full_fused(
+                list(zip(types, buckets, a_t, biases)), consts[t]
             )
-            for k, n in enumerate(sizes):
-                a_t[k] = rngs[k].random((int(n), int(n))) < p_prev[k, :n, :n]
         else:
-            for k, n in enumerate(sizes):
-                a_t[k] = rngs[k].random((int(n), int(n))) < p_x0[k]
-    for k in range(len(sizes)):
+            p_x0 = list(model.predict_full_batch(
+                np.stack(types), np.stack(buckets), np.stack(a_t),
+                t / steps, logit_bias=biases[0],
+            ))
+        p_draw = p_x0
+        if t > 1:
+            for b, n in enumerate(sizes):
+                a_pad[b, :n, :n] = a_t[b]
+                p_pad[b, :n, :n] = p_x0[b]
+            p_prev = d3pm_posterior(
+                a_pad, p_pad, shared.beta[t], shared.alpha_bar[t - 1],
+                density,
+            )
+            p_draw = [p_prev[b, :n, :n] for b, n in enumerate(sizes)]
+        a_t = [
+            rngs[k].random((n, n)) < p_draw[b]
+            for b, (k, n) in enumerate(zip(members, sizes))
+        ]
+    for b, k in enumerate(members):
         results[k] = SampleResult(
-            adjacency=a_t[k].astype(bool),
-            edge_probability=p_x0[k],
-            types=types[k],
-            widths=widths[k],
+            adjacency=a_t[b].astype(bool),
+            edge_probability=p_x0[b],
+            types=types[b],
+            widths=widths[b],
         )
-
-
-def _sample_groups(
-    trained: TrainedDiffusion,
-    model: DenoisingNetwork,
-    steps: int,
-    groups: dict[int, list[int]],
-    attrs: list[tuple[np.ndarray, np.ndarray]],
-    rngs: list[np.random.Generator],
-    results: list[SampleResult | None],
-) -> None:
-    from .features import width_bucket
-    from .schedule import NoiseSchedule
-
-    for n, members in groups.items():
-        schedule = NoiseSchedule.cosine(steps, trained.target_density(n))
-        bias = trained.calibration_bias(n)
-        types = np.stack([np.asarray(attrs[k][0], dtype=np.int64)
-                          for k in members])
-        widths = np.stack([np.asarray(attrs[k][1], dtype=np.int64)
-                           for k in members])
-        buckets = np.array(
-            [[width_bucket(int(w)) for w in row] for row in widths],
-            dtype=np.int64,
-        )
-        a_t = np.stack([
-            schedule.prior_sample((n, n), rngs[k]) for k in members
-        ])
-        p_x0 = np.full((len(members), n, n), schedule.noise_density)
-        for t in range(steps, 0, -1):
-            p_x0 = model.predict_full_batch(
-                types, buckets, a_t, t / steps, logit_bias=bias
-            )
-            if t > 1:
-                p_prev = schedule.posterior_probability(a_t, p_x0, t)
-                a_t = np.stack([
-                    rngs[k].random((n, n)) < p_prev[b]
-                    for b, k in enumerate(members)
-                ])
-            else:
-                a_t = np.stack([
-                    rngs[k].random((n, n)) < p_x0[b]
-                    for b, k in enumerate(members)
-                ])
-        for b, k in enumerate(members):
-            results[k] = SampleResult(
-                adjacency=a_t[b].astype(bool),
-                edge_probability=p_x0[b],
-                types=types[b],
-                widths=widths[b],
-            )

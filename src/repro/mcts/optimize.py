@@ -4,13 +4,15 @@
 cone (largest first) and stitches the improved cone states back into the
 design.  ``random_search_registers`` is the paper's ablation: the same
 simulation budget spent on random valid swaps, keeping the best state
-seen.
+seen.  Both run one acceptance loop (:func:`_search_registers`) around
+a per-cone search arm; only the arm differs.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +21,9 @@ from ..ir import CircuitGraph, GraphView
 from ..lint.sanitize import from_config as _sanitizer_from_config
 from ..lint.sanitize import sanitizing
 from ..obs import get_logger, registry, span
-from ..tiers import EXACT_TIER, FAST_TIER, check_tier
+from ..tiers import EXACT_TIER, FAST_EXIT_PATIENCE, FAST_TIER, check_tier
 from .actions import SwapIndex, apply_swap
-from .cones import all_cones, driving_cone
+from .cones import Cone, all_cones, driving_cone
 from .reward import CachedReward, ConeBatchEvaluator, SynthesisReward
 from .tree import ConeSearchResult, MCTSOptimizer, RewardFn
 
@@ -72,11 +74,13 @@ class MCTSConfig:
     turns every revisit into a dict lookup instead of a synthesis run
     without changing any search decision.
 
-    ``track_cone_function`` records, for every accepted cone rewrite,
-    whether the new cone still computes the original function (packed
-    simulation of before/after against one shared stimulus, via
-    :class:`~repro.mcts.reward.ConeBatchEvaluator`).  Costs two cone
-    simulations per *accepted* cone -- microseconds next to the search.
+    Every accepted cone rewrite is checked for whether the new cone
+    still computes the original function (packed simulation of
+    before/after against one shared stimulus, via
+    :class:`~repro.mcts.reward.ConeBatchEvaluator`) and the verdict is
+    recorded in :attr:`OptimizationReport.cone_function_preserved`.
+    Costs two cone simulations per *accepted* cone -- microseconds next
+    to the search.
 
     ``require_functional_equivalence`` promotes that diagnostic into a
     hard gate: an improved cone state is rejected outright when its
@@ -87,20 +91,16 @@ class MCTSConfig:
 
     ``tier`` selects the numeric contract (see :mod:`repro.tiers`).
     ``"exact"`` (the default) keeps every byte-stability guarantee:
-    every register cone is searched, in register order, and every
-    accepted rewrite is tracked.  ``"fast"`` is the throughput tier:
-    the search walks cones in redundancy-headroom order
-    (:func:`_triage_cones`) and stops after
+    every register cone is searched, in register order.  ``"fast"`` is
+    the throughput tier: the search walks cones in redundancy-headroom
+    order (:func:`_triage_cones`), stops after
     :data:`repro.tiers.FAST_EXIT_PATIENCE` consecutive cones without
-    an accepted rewrite, skips the synthesis-oracle call for marginal
-    estimate gains (:data:`repro.tiers.FAST_ORACLE_MARGIN`), and
-    defers the per-acceptance cone-function diagnostic to the
-    batch-level drift gate (``require_functional_equivalence`` still
-    checks, and still fails closed).  A design whose base synthesis
-    collapses to nothing searches *every* cone until an accept lifts
-    it off zero -- any cone may hold the rescuing rewrite.  Acceptance
-    stays oracle-gated in both tiers -- the drift the triage induces
-    is bounded by the tier-1 tolerance gate
+    an accepted rewrite, and skips the synthesis-oracle call for
+    marginal estimate gains (:data:`repro.tiers.FAST_ORACLE_MARGIN`).
+    A design whose base synthesis collapses to nothing searches *every*
+    cone until an accept lifts it off zero -- any cone may hold the
+    rescuing rewrite.  Acceptance stays oracle-gated in both tiers --
+    the drift the triage induces is bounded by the tier-1 tolerance gate
     (:data:`repro.tiers.FAST_SCPR_TOLERANCE`).  Applies only when the
     incremental engine is in play; an explicit ``reward_fn`` is always
     exact-gated as before.
@@ -126,7 +126,6 @@ class MCTSConfig:
     verify_with_synthesis: bool = True
     delta: bool = True
     cache_rewards: bool = True
-    track_cone_function: bool = True
     require_functional_equivalence: bool = False
     sanitize: bool = False
     tier: str = EXACT_TIER
@@ -142,8 +141,8 @@ class OptimizationReport:
     reward_calls: int = 0
     reward_cache_hits: int = 0
     #: register -> whether the accepted rewrite preserved the cone's
-    #: function (only populated when ``track_cone_function`` is on, plus
-    #: a ``False`` entry per equivalence-gate rejection).
+    #: function (absent when the check errored), plus a ``False`` entry
+    #: per equivalence-gate rejection of a proven mismatch.
     cone_function_preserved: dict[int, bool] = field(default_factory=dict)
     #: Whether the incremental reward path was used for the search.
     incremental: bool = False
@@ -250,6 +249,10 @@ def _resolve_search_rewards(config: MCTSConfig, reward_fn: RewardFn | None):
     return search_base, incremental, oracle
 
 
+#: One cone search: ``(current design, cone, reward)`` -> best state found.
+SearchArm = Callable[[CircuitGraph, Cone, RewardFn], ConeSearchResult]
+
+
 def optimize_registers(
     graph: CircuitGraph,
     reward_fn: RewardFn | None = None,
@@ -259,16 +262,115 @@ def optimize_registers(
 ) -> OptimizationReport:
     """MCTS optimization of each register cone; returns G_opt."""
     config = config or MCTSConfig()
+    return _search_registers(
+        graph, reward_fn, config, registers, verbose,
+        _mcts_arm(config), "mcts",
+    )
+
+
+def random_search_registers(
+    graph: CircuitGraph,
+    reward_fn: RewardFn | None = None,
+    config: MCTSConfig | None = None,
+    verbose: bool = False,
+) -> OptimizationReport:
+    """Ablation baseline: random valid swaps with the same budget.
+
+    Mirrors the paper's comparison: "randomly altering edge connections
+    on G_val while still ensuring every step is valid... the same number
+    of simulations ... adopt the optimal solution identified throughout
+    the process."  Acceptance is the MCTS driver's.
+    """
+    config = config or MCTSConfig()
+    return _search_registers(
+        graph, reward_fn, config, None, verbose,
+        _random_arm(config), "random",
+    )
+
+
+def _mcts_arm(config: MCTSConfig) -> SearchArm:
+    """UCB1 tree search over the register's live cone."""
+
+    def search(
+        current: CircuitGraph, cone: Cone, reward: RewardFn
+    ) -> ConeSearchResult:
+        optimizer = MCTSOptimizer(
+            reward,
+            num_simulations=config.num_simulations,
+            max_depth=config.max_depth,
+            branching=config.branching,
+            exploration=config.exploration,
+            seed=config.seed + cone.register,
+        )
+        return optimizer.optimize_cone(
+            current, driving_cone(current, cone.register)
+        )
+
+    return search
+
+
+def _random_arm(config: MCTSConfig) -> SearchArm:
+    """Random valid swaps; one generator is shared across all cones.
+
+    The initial reward scores the live cone, but the swaps and every
+    later reward use ``cone`` -- the membership captured before any
+    rewrite was accepted.
+    """
+    rng = np.random.default_rng(config.seed)
+
+    def search(
+        current: CircuitGraph, cone: Cone, reward: RewardFn
+    ) -> ConeSearchResult:
+        index = SwapIndex([cone.register, *cone.interior])
+        initial = reward(current, driving_cone(current, cone.register))
+        best_graph, best_reward = current, initial
+        state = current
+        steps = 0
+        rewards_seen = [initial]
+        while steps < config.num_simulations:
+            swaps = index.sample(state, rng, 1)
+            if not swaps:
+                break
+            nxt = apply_swap(state, swaps[0])
+            steps += 1
+            if nxt is None:
+                continue
+            state = nxt
+            r = reward(state, cone)
+            rewards_seen.append(r)
+            if r > best_reward:
+                best_reward, best_graph = r, state
+            # Periodic restart mirrors the MCTS depth limit.
+            if steps % config.max_depth == 0:
+                state = best_graph
+        return ConeSearchResult(
+            best_graph=best_graph,
+            best_reward=best_reward,
+            initial_reward=initial,
+            simulations=steps,
+            rewards_seen=rewards_seen,
+        )
+
+    return search
+
+
+def _search_registers(
+    graph: CircuitGraph,
+    reward_fn: RewardFn | None,
+    config: MCTSConfig,
+    registers: list[int] | None,
+    verbose: bool,
+    arm: SearchArm,
+    label: str,
+) -> OptimizationReport:
+    """The acceptance loop: search each register cone with ``arm`` and
+    commit the improvements the gate and the oracle let through."""
     search_base, incremental, oracle = _resolve_search_rewards(
         config, reward_fn
     )
     fast = (
         check_tier(config.tier) == FAST_TIER and incremental is not None
     )
-    # Fast tier defers the per-acceptance cone-function diagnostic to
-    # the batch-level drift gate; the hard equivalence gate (below)
-    # still runs when asked for.
-    track_function = config.track_cone_function and not fast
     sanitizer = _sanitizer_from_config(config.sanitize, seed=config.seed)
     current = graph.copy()
     report = OptimizationReport(
@@ -283,11 +385,7 @@ def optimize_registers(
     # One evaluator for the whole run: its packed stimulus words are keyed
     # by original-graph node ids, so every candidate netlist (across all
     # cones) is driven by the same shared stimulus.
-    evaluator = (
-        ConeBatchEvaluator(seed=config.seed)
-        if track_function or config.require_functional_equivalence
-        else None
-    )
+    evaluator = ConeBatchEvaluator(seed=config.seed)
 
     cones = all_cones(current)
     triaged = False
@@ -309,13 +407,10 @@ def optimize_registers(
         rescue = current_pcs is None or current_pcs <= 1e-12
         cones = _triage_cones(current, cones, keep_all=rescue)
         triaged = True
+    duds = 0
     # The sanitizing context is a no-op for sanitizer=None; inside it the
     # incremental machinery's checkpoints (SwapIndex, delta netlists,
     # patched simulators, dirty-cone analysis) audit themselves.
-    if triaged:
-        from ..tiers import FAST_EXIT_PATIENCE
-        patience = FAST_EXIT_PATIENCE
-    duds = 0
     with span("mcts.optimize", cones=len(cones),
               incremental=incremental is not None), sanitizing(sanitizer):
         for cone in cones:
@@ -333,18 +428,9 @@ def optimize_registers(
                 CachedReward(search_base) if config.cache_rewards
                 else search_base
             )
-            optimizer = MCTSOptimizer(
-                search_reward,
-                num_simulations=config.num_simulations,
-                max_depth=config.max_depth,
-                branching=config.branching,
-                exploration=config.exploration,
-                seed=config.seed + cone.register,
-            )
-            live_cone = driving_cone(current, cone.register)
             with span("mcts.cone", register=cone.register,
                       interior=len(cone.interior)) as cone_span:
-                result = optimizer.optimize_cone(current, live_cone)
+                result = arm(current, cone, search_reward)
                 cone_span.add(simulations=result.simulations,
                               improved=result.improved)
             report.cone_results[cone.register] = result
@@ -362,10 +448,7 @@ def optimize_registers(
             preserved: bool | None = None
             previous = current
             if result.improved:
-                if (
-                    config.require_functional_equivalence
-                    and evaluator is not None
-                ):
+                if config.require_functional_equivalence:
                     preserved = _cone_function_preserved(
                         evaluator, current, result.best_graph,
                         cone.register, report,
@@ -413,25 +496,21 @@ def optimize_registers(
                     # must not have disturbed the memos the next cone
                     # search will derive from.
                     sanitizer.check_graph_memos(current)
-                if evaluator is not None and track_function:
-                    if preserved is None:
-                        # The gate (when it ran) compared this same
-                        # (previous, current) pair; reuse its verdict.
-                        preserved = _cone_function_preserved(
-                            evaluator, previous, current,
-                            cone.register, report,
-                        )
-                    if preserved is not None:
-                        report.cone_function_preserved[
-                            cone.register
-                        ] = preserved
+                if preserved is None:
+                    # The gate (when it ran) compared this same
+                    # (previous, current) pair; reuse its verdict.
+                    preserved = _cone_function_preserved(
+                        evaluator, previous, current, cone.register, report,
+                    )
+                if preserved is not None:
+                    report.cone_function_preserved[cone.register] = preserved
             outcome = (
                 "accepted" if accepted
                 else "rejected (function changed)" if rejected else "kept"
             )
             logger.log(
                 logging.INFO if verbose else logging.DEBUG,
-                "[mcts] reg %d: pcs %.3f -> %.3f (%s)",
+                "[%s] reg %d: pcs %.3f -> %.3f (%s)", label,
                 cone.register, result.initial_reward,
                 result.best_reward, outcome,
             )
@@ -443,7 +522,7 @@ def optimize_registers(
                 # synthesizes to nothing: until an accept lifts the PCS
                 # off zero every remaining cone is a rescue candidate.
                 duds = 0 if accepted else duds + 1
-                if (duds >= patience and current_pcs is not None
+                if (duds >= FAST_EXIT_PATIENCE and current_pcs is not None
                         and current_pcs > 1e-12):
                     break
     if sanitizer is not None:
@@ -554,135 +633,3 @@ def _cone_function_preserved(
     except _CONE_CHECK_ERRORS:
         report.cone_check_failures += 1
         return None
-
-
-def random_search_registers(
-    graph: CircuitGraph,
-    reward_fn: RewardFn | None = None,
-    config: MCTSConfig | None = None,
-    verbose: bool = False,
-) -> OptimizationReport:
-    """Ablation baseline: random valid swaps with the same budget.
-
-    Mirrors the paper's comparison: "randomly altering edge connections
-    on G_val while still ensuring every step is valid... the same number
-    of simulations ... adopt the optimal solution identified throughout
-    the process."
-    """
-    config = config or MCTSConfig()
-    search_base, incremental, oracle = _resolve_search_rewards(
-        config, reward_fn
-    )
-    sanitizer = _sanitizer_from_config(config.sanitize, seed=config.seed)
-    rng = np.random.default_rng(config.seed)
-    current = graph.copy()
-    report = OptimizationReport(
-        graph=current, incremental=incremental is not None
-    )
-    current_pcs = (
-        oracle(current) if oracle is not None and incremental is None
-        else None
-    )
-    evaluator = (
-        ConeBatchEvaluator(seed=config.seed)
-        if config.require_functional_equivalence else None
-    )
-
-    with sanitizing(sanitizer):
-        for cone in all_cones(current):
-            if not cone.interior:
-                continue
-            if incremental is not None:
-                incremental.rebase(current, exact_pcs=current_pcs)
-                current_pcs = incremental.base_pcs
-            index = SwapIndex([cone.register, *cone.interior])
-            live = driving_cone(current, cone.register)
-            search_reward = (
-                CachedReward(search_base) if config.cache_rewards
-                else search_base
-            )
-            initial = search_reward(current, live)
-            best_graph, best_reward = current, initial
-            state = current
-            steps = 0
-            rewards_seen = [initial]
-            while steps < config.num_simulations:
-                swaps = index.sample(state, rng, 1)
-                if not swaps:
-                    break
-                nxt = apply_swap(state, swaps[0])
-                steps += 1
-                if nxt is None:
-                    continue
-                state = nxt
-                r = search_reward(state, cone)
-                rewards_seen.append(r)
-                if r > best_reward:
-                    best_reward, best_graph = r, state
-                # Periodic restart mirrors the MCTS depth limit.
-                if steps % config.max_depth == 0:
-                    state = best_graph
-            report.cone_results[cone.register] = ConeSearchResult(
-                best_graph=best_graph,
-                best_reward=best_reward,
-                initial_reward=initial,
-                simulations=steps,
-                rewards_seen=rewards_seen,
-            )
-            if isinstance(search_reward, CachedReward):
-                report.reward_calls += search_reward.calls
-                report.reward_cache_hits += search_reward.hits
-            if best_reward > initial + 1e-12:
-                if sanitizer is not None:
-                    # S001: audit the winning state's memo chain before
-                    # committing it as the next search base.
-                    sanitizer.check_graph_memos(best_graph)
-                rejected = False
-                if evaluator is not None:
-                    # Same hard gate as the MCTS driver: improved states
-                    # whose cone function changed (or cannot be checked)
-                    # are not committed.
-                    preserved = _cone_function_preserved(
-                        evaluator, current, best_graph,
-                        cone.register, report,
-                    )
-                    if preserved is not True:
-                        rejected = True
-                        report.equivalence_rejections += 1
-                        if preserved is False:
-                            report.cone_function_preserved[
-                                cone.register
-                            ] = False
-                if rejected:
-                    pass
-                elif oracle is None:
-                    current = best_graph
-                    current_pcs = None
-                    current.edit_origin = None
-                else:
-                    candidate_pcs = oracle(best_graph)
-                    if candidate_pcs > current_pcs + 1e-12:
-                        current = best_graph
-                        current_pcs = candidate_pcs
-                        current.edit_origin = None
-            logger.log(
-                logging.INFO if verbose else logging.DEBUG,
-                "[random] reg %d: pcs %.3f -> %.3f",
-                cone.register, initial, best_reward,
-            )
-    if sanitizer is not None:
-        report.sanitize_checks = sanitizer.checks_run
-    if incremental is not None:
-        report.reward_patches = incremental.patches
-        report.reward_rebases = incremental.rebases
-        (report.analysis_delta_hits, report.analysis_fallbacks,
-         report.analysis_divergences) = incremental.analysis_counters()
-    oracle_counters = getattr(oracle, "counters", None)
-    if oracle_counters is not None:
-        (report.oracle_delta_hits, report.oracle_fallbacks,
-         report.oracle_divergences) = oracle_counters()
-    if isinstance(current, GraphView):
-        current = current.materialize()
-    report.graph = current
-    _publish_metrics(report)
-    return report

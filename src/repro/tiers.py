@@ -23,10 +23,9 @@ Every numeric path in the pipeline belongs to one of two tiers:
   the total headroom; designs that synthesize to nothing search every
   cone until rescued -- see ``_triage_cones``), marginal estimate
   gains below :data:`FAST_ORACLE_MARGIN` skip their synthesis-oracle
-  call, and the per-acceptance cone-function diagnostic defers to the
-  batch-level drift gate (``require_functional_equivalence`` still
-  gates every improved cone, through the same per-circuit
-  :class:`~repro.mcts.reward.ConeBatchEvaluator` the exact tier uses).
+  call.  The per-acceptance cone-function diagnostic and the
+  ``require_functional_equivalence`` gate run in both tiers, through
+  the same per-circuit :class:`~repro.mcts.reward.ConeBatchEvaluator`.
   Acceptance stays oracle-gated in both tiers.  The differential
   harness in :mod:`repro.bench.drift` measures the SCPR/area drift of
   ``fast`` vs ``exact`` per design family and tier-1 enforces

@@ -104,7 +104,10 @@ class TestTierContract:
 class TestExactSampler:
     def test_batch_bit_identical_to_solo(self, smoke_trained):
         _, _, trained = smoke_trained
-        sizes = [36, 44, 36, 40]
+        # 128 is the decoder's row chunk: 129 and 200 run a second,
+        # partial chunk, and 129 appears twice so a multi-item group
+        # crosses it too.
+        sizes = [36, 44, 36, 40, 128, 129, 200, 129]
         batch = sample_batch(trained, sizes, _item_rngs(123, len(sizes)))
         solo = [
             sample_initial_graph(trained, num_nodes=n, rng=rng)
@@ -138,6 +141,10 @@ class TestFastSampler:
         second = sample_batch(
             trained, sizes, _item_rngs(42, len(sizes)), tier="fast"
         )
+        assert len(first) == len(second) == len(sizes)
+        # The empty batch is a composition too, in both tiers.
+        for tier in tiers.TIERS:
+            assert sample_batch(trained, [], [], tier=tier) == []
         for got, again, n in zip(first, second, sizes):
             assert got.adjacency.shape == (n, n)
             assert got.adjacency.dtype == bool
