@@ -34,6 +34,7 @@ deliberately spans the whole stack:
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable
 
 import numpy as np
@@ -68,6 +69,19 @@ def _sim_workload():
         for _ in range(SIM_CYCLES)
     ]
     return name, netlist, stimulus
+
+
+def result_sha(graph) -> str:
+    """16-hex sha256 of a plain graph's structure: per node its (type,
+    width, sorted params), then every ordered parent row.  Names are
+    left out, so the sha moves only when the search result does."""
+    nodes = tuple(
+        (node.type.value, node.width,
+         tuple(sorted(node.params.items())) if node.params else ())
+        for node in graph.nodes()
+    )
+    key = (nodes, graph.parent_rows())
+    return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
 
 def _swap_candidates(graph, register, rng, count):
@@ -207,13 +221,7 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
         # hash stays out of the steady-state repeats the best-of timing
         # reports.
         if "result_sha" not in mcts_meta:
-            import hashlib
-
-            from ..mcts.reward import structural_fingerprint
-
-            mcts_meta["result_sha"] = hashlib.sha256(
-                repr(structural_fingerprint(report.graph).key).encode()
-            ).hexdigest()[:16]
+            mcts_meta["result_sha"] = result_sha(report.graph)
         return max(report.total_simulations, 1)
 
     # -- lint / sanitizer ------------------------------------------------

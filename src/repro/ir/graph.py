@@ -39,11 +39,8 @@ class Node:
 
 #: ``__dict__`` keys of the lazily memoized wiring-derived structures;
 #: every parent mutation drops them so no memo can serve a stale view
-#: of the wiring (the fingerprint memo of :mod:`repro.mcts.reward` uses
-#: the same discipline and is invalidated alongside).
+#: of the wiring.
 _WIRING_MEMOS = (
-    "_structural_fp",
-    "_structural_fp_nodes",
     "_parent_rows_memo",
     "_child_map_memo",
     "_filled_rows_memo",
@@ -151,8 +148,8 @@ class CircuitGraph:
         """All parent slots as one immutable snapshot.
 
         One call replaces ``num_nodes`` :meth:`parents` calls on paths
-        that key on the whole wiring (structural fingerprints).  The
-        snapshot is memoized until the next parent mutation.
+        that read the whole wiring.  The snapshot is memoized until the
+        next parent mutation.
         """
         memo = self.__dict__.get("_parent_rows_memo")
         if memo is None:
@@ -390,9 +387,9 @@ class GraphView(CircuitGraph):
     independent plain graph.
 
     Wiring memos (``edge_list`` / ``child_map`` / ``parent_rows`` /
-    ``filled_rows`` and the structural fingerprint) are either patched
-    incrementally from the predecessor's memo or rebuilt lazily; every
-    overlay mutation drops them, so a stale memo can never be observed.
+    ``filled_rows``) are either patched incrementally from the
+    predecessor's memo or rebuilt lazily; every overlay mutation drops
+    them, so a stale memo can never be observed.
     """
 
     def __init__(self, base: CircuitGraph):

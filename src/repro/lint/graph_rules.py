@@ -156,10 +156,8 @@ def check_unused_inputs(graph: CircuitGraph, r: Rule) -> list[Diagnostic]:
     "canonical parents); synthesis merges them.",
 )
 def check_duplicate_nodes(graph: CircuitGraph, r: Rule) -> list[Diagnostic]:
-    # The per-node projection of the whole-graph key that
-    # repro.mcts.reward.structural_fingerprint hashes: (type, width,
-    # params) schema plus the ordered parent row, with commutative
-    # operand order canonicalized.
+    # Key per node: (type, width, params) schema plus the ordered parent
+    # row, with commutative operand order canonicalized.
     groups: dict[tuple, list[int]] = {}
     rows = graph.parent_rows()
     for node in graph.nodes():

@@ -16,20 +16,17 @@ from .optimize import (
 from .reward import (
     CONE_FEATURE_DIM,
     GRAPH_FEATURE_DIM,
-    CachedReward,
     ConeBatchEvaluator,
     ConeSignature,
     SynthesisReward,
     cone_features,
     graph_features,
-    structural_fingerprint,
 )
 from .tree import ConeSearchResult, MCTSOptimizer
 
 __all__ = [
     "CONE_FEATURE_DIM",
     "GRAPH_FEATURE_DIM",
-    "CachedReward",
     "Cone",
     "ConeBatchEvaluator",
     "ConeSignature",
@@ -52,6 +49,5 @@ __all__ = [
     "random_search_registers",
     "sample_swaps",
     "SwapIndex",
-    "structural_fingerprint",
     "train_discriminator",
 ]

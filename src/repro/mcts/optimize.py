@@ -24,7 +24,7 @@ from ..obs import get_logger, registry, span
 from ..tiers import EXACT_TIER, FAST_EXIT_PATIENCE, FAST_TIER, check_tier
 from .actions import SwapIndex, apply_swap
 from .cones import Cone, all_cones, driving_cone
-from .reward import CachedReward, ConeBatchEvaluator, SynthesisReward
+from .reward import ConeBatchEvaluator, SynthesisReward
 from .tree import ConeSearchResult, MCTSOptimizer, RewardFn
 
 logger = get_logger(__name__)
@@ -67,12 +67,6 @@ class MCTSConfig:
     their preconditions fail and record any divergence in
     :class:`OptimizationReport`.  Applies only when the incremental
     engine is in play (``incremental=True``, no explicit ``reward_fn``).
-
-    ``cache_rewards`` memoizes reward evaluations on a structural
-    fingerprint per cone search (:class:`~repro.mcts.reward.CachedReward`).
-    Swaps are self-inverse, so deep searches revisit states; the cache
-    turns every revisit into a dict lookup instead of a synthesis run
-    without changing any search decision.
 
     Every accepted cone rewrite is checked for whether the new cone
     still computes the original function (packed simulation of
@@ -125,7 +119,6 @@ class MCTSConfig:
     incremental: bool = True
     verify_with_synthesis: bool = True
     delta: bool = True
-    cache_rewards: bool = True
     require_functional_equivalence: bool = False
     sanitize: bool = False
     tier: str = EXACT_TIER
@@ -136,10 +129,9 @@ class MCTSConfig:
 class OptimizationReport:
     graph: CircuitGraph
     cone_results: dict[int, ConeSearchResult] = field(default_factory=dict)
-    #: Reward lookups across all cone searches, and how many of them were
-    #: served by the structural cache (0 when ``cache_rewards`` is off).
+    #: Search-reward evaluations across all cone searches (the
+    #: acceptance oracle's calls are not counted).
     reward_calls: int = 0
-    reward_cache_hits: int = 0
     #: register -> whether the accepted rewrite preserved the cone's
     #: function (absent when the check errored), plus a ``False`` entry
     #: per equivalence-gate rejection of a proven mismatch.
@@ -190,7 +182,7 @@ class OptimizationReport:
 #: registry is the aggregated source surfaces like ``GET /metrics``
 #: read; the per-run report keeps the same numbers scoped to one call.
 _PUBLISHED_COUNTERS = (
-    "reward_calls", "reward_cache_hits",
+    "reward_calls",
     "analysis_delta_hits", "analysis_fallbacks", "analysis_divergences",
     "oracle_delta_hits", "oracle_fallbacks", "oracle_divergences",
     "sanitize_checks", "equivalence_rejections", "cone_check_failures",
@@ -376,6 +368,11 @@ def _search_registers(
     report = OptimizationReport(
         graph=current, incremental=incremental is not None
     )
+
+    def counted_reward(state: CircuitGraph, cone: Cone) -> float:
+        report.reward_calls += 1
+        return search_base(state, cone)
+
     # With the incremental reward, each cone's rebase computes the exact
     # base PCS anyway; reuse it instead of a redundant oracle call here.
     current_pcs = (
@@ -422,21 +419,12 @@ def _search_registers(
                 # re-synthesizing.
                 incremental.rebase(current, exact_pcs=current_pcs)
                 current_pcs = incremental.base_pcs
-            # One cache per cone search: within it the cone is fixed, so
-            # the reward is a pure function of the structural fingerprint.
-            search_reward = (
-                CachedReward(search_base) if config.cache_rewards
-                else search_base
-            )
             with span("mcts.cone", register=cone.register,
                       interior=len(cone.interior)) as cone_span:
-                result = arm(current, cone, search_reward)
+                result = arm(current, cone, counted_reward)
                 cone_span.add(simulations=result.simulations,
                               improved=result.improved)
             report.cone_results[cone.register] = result
-            if isinstance(search_reward, CachedReward):
-                report.reward_calls += search_reward.calls
-                report.reward_cache_hits += search_reward.hits
             if sanitizer is not None and result.improved:
                 # S001: the search's best state sits at the end of the
                 # deepest copy-on-write derivation chain this cone

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ir import CircuitGraph, GraphView, NUM_TYPES, NodeType
+from ..ir import CircuitGraph, NUM_TYPES, NodeType
 from ..lint.sanitize import current_sanitizer
 from ..synth import synthesize
 from ..synth.simulate import PatchableSimulator, packed_stimulus_word
@@ -45,123 +45,6 @@ class SynthesisReward:
         return result.pcs
 
 
-class Fingerprint:
-    """A structural key with its hash computed exactly once.
-
-    Fingerprints are large nested tuples; hashing one on every cache
-    lookup costs more than the lookup itself.  Equality still compares
-    the full keys, so two states collide iff their structures match.
-    """
-
-    __slots__ = ("key", "_hash")
-
-    def __init__(self, key: tuple):
-        self.key = key
-        self._hash = hash(key)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Fingerprint):
-            return self._hash == other._hash and self.key == other.key
-        return self.key == other
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Fingerprint({self._hash:#x})"
-
-
-def structural_fingerprint(graph: CircuitGraph) -> Fingerprint:
-    """Exact hashable key of a graph's structure.
-
-    Two graphs share a fingerprint iff they have identical node types,
-    widths, params (CONST values, slice indices, ...) and ordered parent
-    slots -- exactly the state every reward in this package is a
-    function of.  Computing it is O(nodes), orders of magnitude cheaper
-    than one synthesis call, which is what makes :class:`CachedReward`
-    pay off.
-
-    The fingerprint is memoized on the graph instance (search states
-    are never mutated after creation, so the hot loop computes each
-    state's key once); ``CircuitGraph.set_parent`` / ``clear_parents``
-    drop the memo, so in-place rewires cannot serve a stale key.
-
-    Copy-on-write views get an O(overlay) key instead of the O(nodes)
-    structure tuple: (base identity, the overlay rows that actually
-    differ from the base).  Within one search every state shares one
-    frozen base, so equal keys still imply identical structures; the
-    only asymmetry is that a view is never conflated with a plain graph
-    -- a sound (no false positive) trade the per-cone reward cache is
-    happy to make.
-    """
-    cached = graph.__dict__.get("_structural_fp")
-    if cached is None:
-        if isinstance(graph, GraphView):
-            base = graph._base
-            base_rows = base._parents
-            diff = tuple(sorted(
-                (v, tuple(row)) for v, row in graph._rows.items()
-                if row != base_rows[v]
-            ))
-            # The base object itself anchors the key: graphs hash and
-            # compare by identity, which both pins the base alive for
-            # as long as any cache entry references it and rules out
-            # id-recycling collisions.
-            cached = Fingerprint((base, diff))
-        else:
-            nodes_key = graph.__dict__.get("_structural_fp_nodes")
-            if nodes_key is None:
-                nodes_key = tuple(
-                    (node.type.value, node.width,
-                     tuple(sorted(node.params.items())) if node.params else ())
-                    for node in graph.nodes()
-                )
-                graph._structural_fp_nodes = nodes_key
-            cached = Fingerprint((nodes_key, graph.parent_rows()))
-        graph._structural_fp = cached
-    return cached
-
-
-class CachedReward:
-    """Structural memoization wrapper around any ``reward(graph, cone)``.
-
-    The swap action is its own inverse, so MCTS rollouts and the random-
-    search ablation revisit states constantly; every revisit would
-    otherwise pay a full synthesis (or discriminator) evaluation.  Keys
-    combine :func:`structural_fingerprint` with the cone's identity, so
-    rewards that condition on the cone stay correct.  ``calls`` counts
-    lookups, ``hits`` the ones served from cache; underlying reward
-    invocations are ``calls - hits``.
-    """
-
-    def __init__(self, reward_fn):
-        self.reward_fn = reward_fn
-        self.calls = 0
-        self.hits = 0
-        self._cache: dict[tuple, float] = {}
-
-    def __call__(self, graph: CircuitGraph, cone: Cone | None = None) -> float:
-        if cone is None:
-            cone_key = None
-        else:
-            # Cones are fixed for a whole search; memoize their key.
-            cone_key = cone.__dict__.get("_cache_key")
-            if cone_key is None:
-                cone_key = (
-                    cone.register, tuple(cone.interior), tuple(cone.boundary)
-                )
-                cone._cache_key = cone_key
-        key = (structural_fingerprint(graph), cone_key)
-        self.calls += 1
-        value = self._cache.get(key)
-        if value is not None:
-            self.hits += 1
-            return value
-        value = self.reward_fn(graph, cone)
-        self._cache[key] = value
-        return value
-
-
 # ---------------------------------------------------------------------------
 # Batched functional evaluation of candidate cone states
 # ---------------------------------------------------------------------------
@@ -179,14 +62,6 @@ class ConeSignature:
     register: int
     words: tuple[int, ...]
     num_cycles: int
-
-    @property
-    def toggles(self) -> int:
-        """Output bit flips between consecutive cycles (activity proxy)."""
-        mask = (1 << max(self.num_cycles - 1, 0)) - 1
-        return sum(
-            bin((word ^ (word >> 1)) & mask).count("1") for word in self.words
-        )
 
 
 class ConeBatchEvaluator:
@@ -211,8 +86,8 @@ class ConeBatchEvaluator:
     compiled plan is re-linked from the delta's cached opcode rows
     instead of recompiled from a materialized netlist.
 
-    Signatures answer "which candidates compute distinct functions":
-    the functional-diversity diagnostic on search traces, the optional
+    Signatures answer "do these candidates compute the same function":
+    the per-acceptance cone-function diagnostic, the optional
     ``require_functional_equivalence`` hard gate of the search, and the
     ``cone.batch_eval`` microbenchmark kernel in :mod:`repro.bench`.
     """
@@ -313,12 +188,6 @@ class ConeBatchEvaluator:
     ) -> list[ConeSignature]:
         """Signatures for a batch of candidate states of one register."""
         return [self.signature(graph, register) for graph in graphs]
-
-    def distinct_functions(
-        self, graphs: list[CircuitGraph], register: int
-    ) -> int:
-        """How many distinct functions the candidates' cones compute."""
-        return len({sig.words for sig in self.evaluate(graphs, register)})
 
 
 def graph_features(graph: CircuitGraph) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Named counters / gauges / histograms with Prometheus text rendering.
 
 One process-wide :func:`registry` aggregates every layer's numbers --
-reward-cache hits, delta-analysis outcomes, artifact-store hit/miss,
+reward calls, delta-analysis outcomes, artifact-store hit/miss,
 queue depth, job latencies -- so surfaces like ``GET /metrics`` and
 ``/stats`` read a single source instead of threading fields by hand.
 Isolated :class:`MetricsRegistry` instances exist for tests and for

@@ -170,10 +170,15 @@ def _simplify(
             (d,) = ins
             if d in (c0, c1):
                 # Register with a constant next-state: swept to the
-                # constant.  This matches commercial constant-register
-                # sweeping under uninitialised-flop semantics; outputs can
-                # differ from a reset-to-0 simulation only during the
-                # first #DFF warmup cycles.
+                # constant.  This assumes uninitialised-flop semantics
+                # (the register may power up holding its constant), as
+                # commercial constant-register sweeping does.  It is not
+                # equivalent to a reset-to-0 simulation: a register swept
+                # to 1 reads 0 for one cycle there, and a downstream
+                # feedback loop can latch that transient forever (q <= 1;
+                # r <= r | ~q: raw r is 1 from cycle 1, swept r stays 0).
+                # See the ROADMAP item "Decide the register-initialisation
+                # semantics".
                 target = d
             elif d == repl.find(out):
                 # Next state equals current state: the register never

@@ -160,6 +160,19 @@ class TestSuite:
         assert report.suite == "smoke"
         assert json.loads(out.read_text())["suite"] == "smoke"
 
+    def test_mcts_result_sha_guard(self):
+        """The ``mcts.optimize`` record's ``result_sha`` pins the smoke
+        search result; a change that moves it changed the algorithm."""
+        from repro.api.presets import resolve_preset
+        from repro.bench.suites import result_sha
+        from repro.bench_designs import load_design
+        from repro.mcts import optimize_registers
+
+        report = optimize_registers(
+            load_design("uart_tx"), config=resolve_preset("smoke").mcts
+        )
+        assert result_sha(report.graph) == "a03d2c4397fec96e"
+
     def test_bench_request_roundtrip(self):
         from repro.api import BenchRequest
 

@@ -36,7 +36,6 @@ from repro.bench_designs import load_design
 from repro.incr import DeltaOracle, IncrementalReward
 from repro.incr.analysis import RedundancyAnalyzer
 from repro.mcts import MCTSConfig, optimize_registers
-from repro.mcts.reward import structural_fingerprint
 from repro.synth import elaborate, synthesize
 from repro.synth.passes import optimize as optimize_netlist
 
@@ -228,8 +227,7 @@ class TestSearchLevelDifferential:
         reference, delta = self._run_both(
             graph, num_simulations=40, seed=3,
         )
-        assert structural_fingerprint(delta.graph).key \
-            == structural_fingerprint(reference.graph).key
+        assert delta.graph.to_dict() == reference.graph.to_dict()
         assert delta.improved_cones == reference.improved_cones
         assert delta.analysis_divergences == 0
         assert delta.oracle_divergences == 0
@@ -241,8 +239,7 @@ class TestSearchLevelDifferential:
         reference, delta = self._run_both(
             graph, num_simulations=30, seed=5,
         )
-        assert structural_fingerprint(delta.graph).key \
-            == structural_fingerprint(reference.graph).key
+        assert delta.graph.to_dict() == reference.graph.to_dict()
         assert delta.oracle_divergences == 0
 
     def test_analysis_divergence_flips_to_full_path(self, monkeypatch):
@@ -262,8 +259,7 @@ class TestSearchLevelDifferential:
         ))
         assert report.analysis_divergences >= 1
         assert report.analysis_delta_hits == 0
-        assert structural_fingerprint(report.graph).key \
-            == structural_fingerprint(reference.graph).key
+        assert report.graph.to_dict() == reference.graph.to_dict()
 
     def test_oracle_divergence_falls_back(self, monkeypatch):
         """An injected oracle fault must count one divergence, flip the
@@ -284,8 +280,7 @@ class TestSearchLevelDifferential:
         assert report.oracle_divergences == 1  # flips off after the first
         assert report.oracle_delta_hits == 0
         assert report.oracle_fallbacks >= 1
-        assert structural_fingerprint(report.graph).key \
-            == structural_fingerprint(reference.graph).key
+        assert report.graph.to_dict() == reference.graph.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +390,7 @@ class TestTierDifferential:
         )
         default = tier_session.generate(base)  # tier=None -> config tier
         for a, b, c in zip(first.graphs, second.graphs, default.graphs):
-            key = structural_fingerprint(a).key
-            assert key == structural_fingerprint(b).key
-            assert key == structural_fingerprint(c).key
+            assert a.to_dict() == b.to_dict() == c.to_dict()
 
     @pytest.mark.fuzz_deep
     def test_deep_tier_composition_sweep(self, tier_session, fuzz_rounds):

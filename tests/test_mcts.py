@@ -259,48 +259,33 @@ class TestMCTSSearch:
         assert result.rewards_seen
 
 
-class TestCachedReward:
-    def test_hits_and_transparency(self):
-        from repro.mcts import CachedReward
+class TestRewardCounting:
+    """The driver counts every search-reward evaluation it makes."""
 
-        g = redundant_design()
-        inner = SynthesisReward(2.0)
-        cached = CachedReward(inner)
-        cone = all_cones(g)[0]
-        first = cached(g, cone)
-        second = cached(g, cone)
-        assert first == second == inner(g, cone)
-        assert cached.calls == 2 and cached.hits == 1
-        assert inner.calls == 2  # one miss + the direct check call
+    CONFIG = MCTSConfig(num_simulations=12, max_depth=3, branching=3, seed=4)
 
-    def test_distinct_states_and_cones_not_conflated(self):
-        from repro.mcts import CachedReward, structural_fingerprint
+    @pytest.mark.parametrize(
+        "search", [optimize_registers, random_search_registers]
+    )
+    def test_explicit_reward_calls_match(self, search):
+        # An explicit exact reward builds no oracle, so every synthesis
+        # call the reward sees is one the search made.
+        reward = SynthesisReward(2.0)
+        report = search(redundant_design(), reward, config=self.CONFIG)
+        assert report.reward_calls == reward.calls > 0
 
-        g = redundant_design()
-        cones = [c for c in all_cones(g) if c.interior]
-        cached = CachedReward(SynthesisReward(2.0))
-        cached(g, cones[0])
-        cached(g, cones[1])          # same graph, different cone: a miss
-        assert cached.hits == 0
-        rng = np.random.default_rng(0)
-        swaps = sample_swaps(g, cones[0].nodes, rng, 8)
-        changed = next(
-            s for s in (apply_swap(g, sw) for sw in swaps) if s is not None
-        )
-        assert structural_fingerprint(changed) != structural_fingerprint(g)
-        cached(changed, cones[0])    # different state: a miss
-        assert cached.hits == 0 and cached.calls == 3
+    def test_default_reward_is_counted(self):
+        report = optimize_registers(redundant_design(), config=self.CONFIG)
+        assert report.incremental
+        assert report.reward_calls > 0
 
-    def test_caching_never_changes_the_search(self):
-        g = redundant_design()
-        on = MCTSConfig(num_simulations=12, max_depth=3, branching=3, seed=4)
-        off = MCTSConfig(num_simulations=12, max_depth=3, branching=3, seed=4,
-                         cache_rewards=False)
-        report_on = optimize_registers(g, config=on)
-        report_off = optimize_registers(g, config=off)
-        assert report_on.graph.to_dict() == report_off.graph.to_dict()
-        assert report_on.reward_calls > 0
-        assert report_off.reward_calls == report_off.reward_cache_hits == 0
+    def test_registry_counter_advances_by_report(self):
+        from repro.obs import registry
+
+        before = registry().value("reward_calls_total")
+        report = optimize_registers(redundant_design(), config=self.CONFIG)
+        after = registry().value("reward_calls_total")
+        assert after - before == report.reward_calls
 
 
 class TestConeBatchEvaluator:
@@ -314,14 +299,6 @@ class TestConeBatchEvaluator:
         assert base == evaluator.signature(g, register)  # deterministic
         assert len(base.words) == g.node(register).width
         assert base.num_cycles == 64
-        # Activity proxy: toggles counts the bit flips between
-        # consecutive cycles of every output word.
-        expected_toggles = sum(
-            bin((word ^ (word >> 1)) & ((1 << 63) - 1)).count("1")
-            for word in base.words
-        )
-        assert base.toggles == expected_toggles
-        assert 0 <= base.toggles <= (base.num_cycles - 1) * len(base.words)
 
         rng = np.random.default_rng(1)
         cone = driving_cone(g, register)
@@ -338,7 +315,7 @@ class TestConeBatchEvaluator:
         assert len(candidates) > 2
         signatures = evaluator.evaluate(candidates, register)
         assert len(signatures) == len(candidates)
-        distinct = evaluator.distinct_functions(candidates, register)
+        distinct = len({sig.words for sig in signatures})
         assert 1 <= distinct <= len(candidates)
 
     def test_stimulus_shared_across_candidates(self):
@@ -417,7 +394,8 @@ class TestConeBatchEvaluator:
                 state = nxt
                 candidates.append(state)
         evaluator = ConeBatchEvaluator(num_cycles=64, seed=1)
-        assert evaluator.distinct_functions(candidates, register) >= 2
+        signatures = evaluator.evaluate(candidates, register)
+        assert len({sig.words for sig in signatures}) >= 2
         assert evaluator.signature(g, register) \
             == ConeBatchEvaluator(num_cycles=64, seed=1).signature(g, register)
 

@@ -29,7 +29,6 @@ from repro.api.presets import resolve_preset
 from repro.bench.drift import measure_drift
 from repro.bench_designs import load_corpus
 from repro.diffusion import sample_batch, sample_initial_graph, train_diffusion
-from repro.mcts.reward import structural_fingerprint
 from repro.obs import registry
 
 
@@ -170,8 +169,7 @@ class TestExactTierRequests:
         explicit = session.generate(dataclasses.replace(base, tier="exact"))
         assert len(default.graphs) == len(explicit.graphs) == 2
         for a, b in zip(default.graphs, explicit.graphs):
-            assert structural_fingerprint(a).key \
-                == structural_fingerprint(b).key
+            assert a.to_dict() == b.to_dict()
 
 
 #: Drift-verified gate compositions.  Each was measured deterministic at
