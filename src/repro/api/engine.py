@@ -49,7 +49,6 @@ from ..mcts import (
 )
 from ..obs import span
 from ..postprocess import refine_to_valid
-from ..tiers import EXACT_TIER
 
 
 @dataclass
@@ -195,7 +194,6 @@ class SynCircuit:
         self,
         sizes: list[int],
         rngs: list[np.random.Generator],
-        tier: str = EXACT_TIER,
     ) -> tuple[list, float]:
         """Phase 1 for many items at once.
 
@@ -203,20 +201,17 @@ class SynCircuit:
         the :class:`~repro.diffusion.sample.SampleResult` for item ``k``
         (``None`` for every item in the ``use_diffusion=False``
         ablation, whose random phase 1 stays inside ``generate_one`` to
-        preserve its rng stream).  In the default ``exact`` tier,
-        equal-size items share each denoiser forward through
-        :func:`repro.diffusion.sample_batch` and every sample is
-        bit-identical to what ``generate_one`` would have drawn item by
-        item from the same generators; the ``fast`` tier fuses the
-        forwards across *all* items (tolerance-gated, see
-        :mod:`repro.tiers`).
+        preserve its rng stream).  Equal-size items share each denoiser
+        forward through :func:`repro.diffusion.sample_batch` and every
+        sample is bit-identical to what ``generate_one`` would have
+        drawn item by item from the same generators.
         """
         self._check_fitted()
         if not self.config.use_diffusion or not sizes:
             return [None] * len(sizes), 0.0
         assert self.trained is not None
         started = time.perf_counter()
-        samples = sample_batch(self.trained, sizes, rngs, tier=tier)
+        samples = sample_batch(self.trained, sizes, rngs)
         elapsed = time.perf_counter() - started
         return samples, elapsed / len(sizes)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..ir import CircuitGraph
+from ..mcts.optimize import EXACT_TIER, FAST_TIER
 from .engine import GenerationRecord, SynCircuitConfig
 
 
@@ -61,11 +62,13 @@ class GenerateRequest:
     the serve layer stores it next to the result artifact and exposes
     it at ``GET /jobs/<id>/trace`` as Perfetto-loadable Chrome
     trace-event JSON.
-    ``tier`` selects the numeric contract (:mod:`repro.tiers`):
-    ``None`` keeps the session config's tier, ``"exact"`` the
-    byte-stable default, ``"fast"`` the tolerance-gated throughput mode
-    (fused cross-graph denoiser GEMMs, headroom-triaged cone search,
-    estimate-filtered oracle calls).  The field is part of
+    ``tier`` overrides the session config's ``MCTSConfig.tier`` for
+    this request's Phase 3 search (``None`` keeps the config's choice):
+    ``"exact"`` searches every register cone, ``"fast"`` runs the
+    tolerance-gated throughput search (headroom-triaged cones,
+    estimate-filtered oracle calls).  Phases 1 and 2 do not depend on
+    it, so with ``optimize=False`` both tiers return identical graphs.
+    Any other value is rejected at construction.  The field is part of
     the serve layer's dedup ``request_key``, so exact and fast results
     never alias in the artifact store.
     """
@@ -81,6 +84,12 @@ class GenerateRequest:
     sanitize: bool = False
     trace: bool = False
     tier: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.tier not in (None, EXACT_TIER, FAST_TIER):
+            raise ValueError(
+                f"unknown tier {self.tier!r}: expected exact or fast"
+            )
 
     def to_dict(self) -> dict:
         return {

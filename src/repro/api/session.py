@@ -34,7 +34,6 @@ import numpy as np
 
 from ..ir import CircuitGraph
 from ..obs import span
-from ..tiers import EXACT_TIER, check_tier
 from .engine import GenerationRecord, SynCircuit, SynCircuitConfig
 from .presets import resolve_preset
 from .requests import (
@@ -185,15 +184,6 @@ class Session:
             return [int(rng.integers(nodes[0], nodes[1] + 1)) for rng in rngs]
         return [int(nodes)] * len(rngs)
 
-    def _resolve_tier(self, request: GenerateRequest) -> str:
-        """The numeric tier this request runs under (see
-        :mod:`repro.tiers`): the request's ``tier`` when set, else the
-        session config's ``MCTSConfig.tier``."""
-        tier = request.tier if request.tier is not None else getattr(
-            self.config.mcts, "tier", EXACT_TIER
-        )
-        return check_tier(tier)
-
     def _prepare_items(self, request: GenerateRequest):
         """Per-item rngs, node counts, and batched phase-1 samples.
 
@@ -206,9 +196,8 @@ class Session:
         """
         rngs = _item_rngs(request.seed, request.count)
         sizes = self._draw_sizes(request, rngs)
-        tier = self._resolve_tier(request)
-        with span("session.presample", count=request.count, tier=tier):
-            samples, per_item = self.engine.presample(sizes, rngs, tier=tier)
+        with span("session.presample", count=request.count):
+            samples, per_item = self.engine.presample(sizes, rngs)
         return rngs, sizes, [(sample, per_item) for sample in samples]
 
     def _generate_item(
@@ -226,9 +215,8 @@ class Session:
             overrides["incremental"] = request.incremental
         if request.sanitize and not self.config.mcts.sanitize:
             overrides["sanitize"] = True
-        tier = self._resolve_tier(request)
-        if tier != self.config.mcts.tier:
-            overrides["tier"] = tier
+        if request.tier is not None and request.tier != self.config.mcts.tier:
+            overrides["tier"] = request.tier
         if overrides:
             # Request-scoped copy: workers share the session config.
             import dataclasses
@@ -360,13 +348,12 @@ class Session:
         # output bit relative to generate()/generate_batch().
         rngs = _item_rngs(request.seed, request.count)
         sizes = self._draw_sizes(request, rngs)
-        tier = self._resolve_tier(request)
         chunk = max(request.workers, 1) * 4
 
         def chunk_items(lo: int):
             hi = min(lo + chunk, request.count)
             samples, per_item = self.engine.presample(
-                sizes[lo:hi], rngs[lo:hi], tier=tier
+                sizes[lo:hi], rngs[lo:hi]
             )
             return [
                 (k, (samples[k - lo], per_item))

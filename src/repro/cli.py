@@ -554,9 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.add_argument(
         "--tier", choices=["exact", "fast"], default=None,
-        help="numeric contract: exact (byte-stable goldens, default) or "
-             "fast (fused cross-graph GEMMs + estimate-driven search, "
-             "tolerance-gated; see repro.tiers)",
+        help="Phase-3 search tier: exact (every register cone, "
+             "byte-stable goldens, default) or fast (headroom-triaged "
+             "cones + estimate-filtered oracle calls, tolerance-gated); "
+             "sampling does not depend on it",
     )
     p_gen.add_argument("-o", "--output", default="generated")
     p_gen.set_defaults(func=_cmd_generate)
@@ -597,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--no-optimize", action="store_true")
     p_submit.add_argument(
         "--tier", choices=["exact", "fast"], default=None,
-        help="numeric contract for the job (part of the dedup key)",
+        help="Phase-3 search tier for the job (part of the dedup key)",
     )
     p_submit.add_argument(
         "--no-dedupe", action="store_true",

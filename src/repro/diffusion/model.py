@@ -198,150 +198,6 @@ class DenoisingNetwork(Module):
             probs[:, lo:hi] = sigmoid_np(logits)
         return probs
 
-    def fused_step_constants(
-        self, steps: int
-    ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per-step decoder constants for the whole reverse walk at once.
-
-        The reverse process queries the same three tiny MLPs (time,
-        relation and timestep embeddings) once per denoiser step.  The
-        fast tier stacks all ``steps`` time-feature rows and pushes them
-        through each MLP in one pass, then folds ``d(t)`` into the edge
-        MLP's first-layer bias -- this is the "fused across denoiser
-        steps" half of the throughput contract.  Returns
-        ``{t: (t_emb, r, d_bias)}`` for ``t`` in ``1..steps``, directly
-        consumable as :meth:`predict_full_fused`'s ``consts``.  Fast
-        tier only: stacking the MLP rows changes GEMM shapes, so the
-        rows are not bit-identical to per-step evaluation.
-        """
-        fracs = np.arange(1, steps + 1, dtype=np.float64) / steps
-        feats = time_features(fracs, self.encoder.time_dim)  # (steps, T)
-        t_emb = _mlp_np(self.encoder.time_mlp, feats)        # (steps, H)
-        r = _mlp_np(self.decoder.relation_mlp, feats)        # (steps, H)
-        d = _mlp_np(self.decoder.timestep_mlp, feats)        # (steps, T)
-        edge = self.decoder.edge_mlp.layers
-        w1, b1 = _wb(edge[0])
-        hidden = self.decoder.hidden
-        d_bias = d @ w1[hidden:] + b1                        # (steps, H)
-        return {
-            t: (t_emb[t - 1], r[t - 1], d_bias[t - 1])
-            for t in range(1, steps + 1)
-        }
-
-    def predict_full_fused(
-        self,
-        items: list[tuple[np.ndarray, np.ndarray, np.ndarray, float]],
-        consts: tuple[np.ndarray, np.ndarray, np.ndarray],
-        pair_budget: int = 4096,
-    ) -> list[np.ndarray]:
-        """Fast-tier forward over a heterogeneous batch, fully fused.
-
-        ``items`` holds ``(types, width_buckets, a_t, logit_bias)`` per
-        graph -- node counts may differ.  All node rows are packed into
-        one tall ``(sum N_k, H)`` matrix: each encoder layer runs one
-        tall ``h @ W_h`` and one tall ``m @ W_m`` GEMM (only the tiny
-        per-item ``agg_k @ h`` aggregations stay per-slice -- adjacency
-        is block-diagonal), and the decoder flattens all ordered pairs
-        into tall GEMMs over packs of at most ``pair_budget`` pair rows
-        (items are row-split when one alone exceeds the budget).  The
-        budget is a cache bound, not a correctness knob: the decoder is
-        bandwidth-bound, so the pack workspace is kept small enough to
-        stay cache-resident and is reused across packs.
-        ``consts`` is the step's entry of :meth:`fused_step_constants`.
-
-        Fast tier only: fusing rows across items changes BLAS reduction
-        shapes, so outputs drift from :meth:`predict_full` in the low-
-        order bits -- the drift the tier's tolerance gate bounds.
-        Returns one ``(N_k, N_k)`` probability matrix per item.
-        """
-        enc, dec = self.encoder, self.decoder
-        hidden = dec.hidden
-        edge = dec.edge_mlp.layers
-        w1_z = _wb(edge[0])[0][:hidden]
-        w2, b2 = _wb(edge[1])
-        t_emb, r, d_bias = consts
-
-        sizes = [len(item[0]) for item in items]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        types_all = np.concatenate(
-            [np.asarray(item[0], dtype=np.int64) for item in items]
-        )
-        buckets_all = np.concatenate(
-            [np.asarray(item[1], dtype=np.int64) for item in items]
-        )
-        h = (
-            enc.type_emb.weight.data[types_all]
-            + enc.width_emb.weight.data[buckets_all]
-            + t_emb
-        )
-        aggs = [
-            DirectedMPNNEncoder.aggregation_matrix(
-                np.asarray(item[2], dtype=np.float64)
-            )
-            for item in items
-        ]
-        m = np.empty_like(h)
-        for w_h, w_m in zip(enc.w_h, enc.w_m):
-            wh, bh = _wb(w_h)
-            wm, bm = _wb(w_m)
-            # Aggregation is block-diagonal across items; everything
-            # else is one tall GEMM over all node rows.
-            for k, agg in enumerate(aggs):
-                lo, hi = int(offsets[k]), int(offsets[k + 1])
-                np.matmul(agg, h[lo:hi], out=m[lo:hi])
-            h = np.maximum(h @ wh + bh + m @ wm + bm, 0.0)
-
-        h_r = h + r
-        probs: list[np.ndarray] = [np.empty((n, n)) for n in sizes]
-        # (item, row_lo, row_hi) units of at most `cap` pair rows each;
-        # the greedy packing below then fills the shared workspace.
-        cap = max(pair_budget, max(sizes, default=1))
-        units: list[tuple[int, int, int]] = []
-        for k, n in enumerate(sizes):
-            rows_per = max(1, cap // max(n, 1))
-            for lo in range(0, n, rows_per):
-                units.append((k, lo, min(lo + rows_per, n)))
-        total_pairs = sum(n * n for n in sizes)
-        z = np.empty((min(cap, total_pairs), hidden))
-
-        def run_pack(pack: list[tuple[int, int, int]], pair_rows: int) -> None:
-            zz = z[:pair_rows]
-            at = 0
-            for k, lo, hi in pack:
-                base, n = int(offsets[k]), sizes[k]
-                rows = (hi - lo) * n
-                np.multiply(
-                    h_r[base + lo:base + hi, None, :],
-                    h[None, base:base + n, :],
-                    out=zz[at:at + rows].reshape(hi - lo, n, hidden),
-                )
-                at += rows
-            a1 = zz @ w1_z
-            np.add(a1, d_bias, out=a1)
-            np.maximum(a1, 0.0, out=a1)
-            logits = (a1 @ w2 + b2)[:, 0]
-            at = 0
-            for k, lo, hi in pack:
-                n = sizes[k]
-                rows = (hi - lo) * n
-                block = logits[at:at + rows] + items[k][3]
-                probs[k][lo:hi] = sigmoid_np(block).reshape(hi - lo, n)
-                at += rows
-
-        pack: list[tuple[int, int, int]] = []
-        pair_rows = 0
-        for unit in units:
-            k, lo, hi = unit
-            rows = (hi - lo) * sizes[k]
-            if pack and pair_rows + rows > cap:
-                run_pack(pack, pair_rows)
-                pack, pair_rows = [], 0
-            pack.append(unit)
-            pair_rows += rows
-        if pack:
-            run_pack(pack, pair_rows)
-        return probs
-
     def _encode_np_batch(self, types: np.ndarray, widths: np.ndarray,
                          a_t: np.ndarray, t_frac: float) -> np.ndarray:
         """Batched numpy encoder: ``(B, N)`` attributes -> ``(B, N, H)``."""

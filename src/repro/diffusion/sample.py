@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs import get_logger, registry, span
-from ..tiers import EXACT_TIER, FAST_TIER, check_tier
 from .train import TrainedDiffusion
 
 logger = get_logger(__name__)
@@ -87,12 +86,11 @@ def sample_batch(
     trained: TrainedDiffusion,
     sizes: list[int],
     rngs: list[np.random.Generator],
-    tier: str = EXACT_TIER,
 ) -> list[SampleResult]:
     """Reverse-sample many graphs, sharing denoiser forwards.
 
-    In the ``exact`` tier (the default) items are grouped by node count
-    and each group walks the reverse process in lockstep: per step, one
+    Items are grouped by node count and each group walks the reverse
+    process in lockstep: per step, one
     :meth:`~repro.diffusion.model.DenoisingNetwork.predict_full_batch`
     forward scores the whole group (row-stacked GEMMs), while every
     stochastic draw still comes from the item's own generator in the
@@ -104,18 +102,7 @@ def sample_batch(
     group-by-size sharing degrades to solo-sized forwards as sizes grow
     heterogeneous, which the DEBUG group histogram and the
     ``diffusion_batch_fill_ratio`` gauge make observable.
-
-    The ``fast`` tier drops the grouping entirely:
-    :meth:`~repro.diffusion.model.DenoisingNetwork.predict_full_fused`
-    packs *all* items -- heterogeneous sizes included -- into one tall
-    GEMM per layer, with per-step decoder constants precomputed once
-    for the whole walk (the across-steps half of the fusion).  Each
-    item's rng is still consumed per item and in walk order, so the
-    only divergence from the exact tier is GEMM low-order bits flipping
-    threshold draws; the drift that induces is bounded by the tier's
-    tolerance gate (:mod:`repro.tiers`).
     """
-    check_tier(tier)
     if len(sizes) != len(rngs):
         raise ValueError("sizes and rngs must have equal length")
     # Attribute sampling consumes each item's rng first, exactly like
@@ -128,18 +115,18 @@ def sample_batch(
     for index, n in enumerate(sizes):
         groups.setdefault(int(n), []).append(index)
 
-    # GEMM-sharing fill: fraction of the batch's pair rows a perfectly
-    # fused forward would co-schedule that this tier actually does.
-    # Exact tier shares within size groups only; fast tier fuses all.
+    # GEMM-sharing fill: the fraction of the batch's pair rows that one
+    # forward over the whole batch would co-schedule and the size groups
+    # actually do.
     total = len(sizes)
     fill = (
-        1.0 if tier == FAST_TIER or total == 0
-        else sum(len(g) ** 2 for g in groups.values()) / total ** 2
+        sum(len(g) ** 2 for g in groups.values()) / total ** 2
+        if total else 1.0
     )
     if fill < 1.0:
         logger.debug(
-            "[diffusion] exact-tier sample_batch degrades to %d "
-            "size-groups (histogram %s): batch_fill_ratio %.3f",
+            "[diffusion] sample_batch degrades to %d size-groups "
+            "(histogram %s): batch_fill_ratio %.3f",
             len(groups),
             {n: len(g) for n, g in sorted(groups.items())},
             fill,
@@ -147,23 +134,16 @@ def sample_batch(
     registry().gauge(
         "diffusion_batch_fill_ratio",
         help="GEMM-sharing fill of the last diffusion sample_batch "
-        "(1.0 = fully fused forwards)",
+        "(1.0 = one shared forward per step)",
     ).set(fill)
 
-    # One reverse walk over "packs" of items that share a forward: the
-    # exact tier packs by node count, the fast tier packs everything.
-    packs = (
-        list(groups.values()) if tier == EXACT_TIER
-        else [list(range(total))] if total else []
-    )
     with span(
         "diffusion.sample_batch",
         items=len(sizes), groups=len(groups),
-        steps=trained.schedule.num_steps, tier=tier,
+        steps=trained.schedule.num_steps,
     ):
-        for members in packs:
-            _sample_pack(trained, members, attrs, rngs, results,
-                         fused=tier == FAST_TIER)
+        for members in groups.values():
+            _sample_pack(trained, members, attrs, rngs, results)
     return results  # type: ignore[return-value]
 
 
@@ -173,77 +153,44 @@ def _sample_pack(
     attrs: list[tuple[np.ndarray, np.ndarray]],
     rngs: list[np.random.Generator],
     results: list[SampleResult | None],
-    fused: bool,
 ) -> None:
-    """Walk the reverse process for one pack of items in lockstep.
+    """Walk the reverse process for one same-size pack in lockstep.
 
-    Per step, one forward scores the whole pack --
+    Per step, one
     :meth:`~repro.diffusion.model.DenoisingNetwork.predict_full_batch`
-    for a same-size pack (exact tier), or
-    :meth:`~repro.diffusion.model.DenoisingNetwork.predict_full_fused`
-    when ``fused`` (fast tier, sizes may differ) -- and one posterior
-    call covers the pack, zero-padded to its largest item with each
-    item's own stationary density.  Every stochastic draw comes from
-    the item's own generator, in :func:`sample_initial_graph`'s order.
+    forward and one posterior call cover the pack.  Every stochastic
+    draw comes from the item's own generator, in
+    :func:`sample_initial_graph`'s order.
     """
     from .features import width_bucket
-    from .schedule import NoiseSchedule, d3pm_posterior
+    from .schedule import NoiseSchedule
 
     model = trained.model
     steps = trained.schedule.num_steps
-    sizes = [len(attrs[k][0]) for k in members]
-    schedules = {
-        n: NoiseSchedule.cosine(steps, trained.target_density(n))
-        for n in sorted(set(sizes))
-    }
-    biases = [trained.calibration_bias(n) for n in sizes]
+    n = len(attrs[members[0]][0])
+    schedule = NoiseSchedule.cosine(steps, trained.target_density(n))
+    bias = trained.calibration_bias(n)
     types = [np.asarray(attrs[k][0], dtype=np.int64) for k in members]
     widths = [np.asarray(attrs[k][1], dtype=np.int64) for k in members]
-    buckets = [
-        np.array([width_bucket(int(w)) for w in row], dtype=np.int64)
-        for row in widths
-    ]
+    type_stack = np.stack(types)
+    bucket_stack = np.array(
+        [[width_bucket(int(w)) for w in row] for row in widths],
+        dtype=np.int64,
+    )
     # Attributes are already drawn; next come the prior, then one draw
     # per step.
-    a_t = [
-        schedules[n].prior_sample((n, n), rngs[k])
-        for k, n in zip(members, sizes)
-    ]
-    p_x0 = [np.full((n, n), schedules[n].noise_density) for n in sizes]
-    # The cosine beta/alpha-bar depend only on the step count, so only
-    # the stationary density varies across the pack -- it broadcasts.
-    shared = schedules[sizes[0]]
-    density = np.array(
-        [schedules[n].noise_density for n in sizes]
-    ).reshape(-1, 1, 1)
-    nmax = max(sizes)
-    a_pad = np.zeros((len(sizes), nmax, nmax))
-    p_pad = np.zeros((len(sizes), nmax, nmax))
-    consts = model.fused_step_constants(steps) if fused else None
+    a_t = np.stack(
+        [schedule.prior_sample((n, n), rngs[k]) for k in members]
+    )
     for t in range(steps, 0, -1):
-        if consts is not None:
-            p_x0 = model.predict_full_fused(
-                list(zip(types, buckets, a_t, biases)), consts[t]
-            )
-        else:
-            p_x0 = list(model.predict_full_batch(
-                np.stack(types), np.stack(buckets), np.stack(a_t),
-                t / steps, logit_bias=biases[0],
-            ))
-        p_draw = p_x0
-        if t > 1:
-            for b, n in enumerate(sizes):
-                a_pad[b, :n, :n] = a_t[b]
-                p_pad[b, :n, :n] = p_x0[b]
-            p_prev = d3pm_posterior(
-                a_pad, p_pad, shared.beta[t], shared.alpha_bar[t - 1],
-                density,
-            )
-            p_draw = [p_prev[b, :n, :n] for b, n in enumerate(sizes)]
-        a_t = [
-            rngs[k].random((n, n)) < p_draw[b]
-            for b, (k, n) in enumerate(zip(members, sizes))
-        ]
+        p_x0 = model.predict_full_batch(
+            type_stack, bucket_stack, a_t, t / steps, logit_bias=bias
+        )
+        p_draw = (
+            schedule.posterior_probability(a_t, p_x0, t) if t > 1 else p_x0
+        )
+        a_t = np.stack([rngs[k].random((n, n)) < p_draw[b]
+                        for b, k in enumerate(members)])
     for b, k in enumerate(members):
         results[k] = SampleResult(
             adjacency=a_t[b].astype(bool),

@@ -67,58 +67,43 @@ class NoiseSchedule:
     def posterior_probability(
         self, a_t: np.ndarray, p_x0: np.ndarray, t: int
     ) -> np.ndarray:
-        """P(A_{t-1} = 1 | A_t, x0-prediction) at step ``t`` of this
-        schedule, marginalised over A_0 (see :func:`d3pm_posterior`)."""
+        """P(A_{t-1} = 1 | A_t, x0-prediction), marginalised over A_0.
+
+        Standard D3PM posterior for independent 2-state chains:
+        ``q(x_{t-1} | x_t, x_0) \\propto Q_t[x_{t-1}, x_t] *
+        Qbar_{t-1}[x_0, x_{t-1}]``, then the network's ``p(A_0=1)``
+        marginalises the unknown ``x_0``.  The arithmetic is
+        elementwise, so a ``(B, N, N)`` stack of same-size items gets
+        each item's values bit for bit.
+        """
         if t < 1:
             raise ValueError("posterior requires t >= 1")
         if t == 1:
             return np.clip(p_x0, 0.0, 1.0)
-        return d3pm_posterior(
-            a_t, p_x0, self.beta[t], self.alpha_bar[t - 1],
-            self.noise_density,
-        )
-
-
-def d3pm_posterior(
-    a_t: np.ndarray,
-    p_x0: np.ndarray,
-    beta_t: float,
-    ab_prev: float,
-    noise_density: float | np.ndarray,
-) -> np.ndarray:
-    """Standard D3PM posterior for independent 2-state chains, at a step
-    with rate ``beta_t`` whose predecessor has alpha-bar ``ab_prev``:
-
-    ``q(x_{t-1} | x_t, x_0) \\propto Q_t[x_{t-1}, x_t] *
-    Qbar_{t-1}[x_0, x_{t-1}]``, with the network's ``p(A_0=1)``
-    marginalising the unknown ``x_0``.  ``noise_density`` is a scalar
-    or, over a ``(B, N, N)`` stack whose items follow different
-    stationary densities, a per-item ``(B, 1, 1)`` array; the arithmetic
-    is elementwise, so each item's values do not depend on what it is
-    stacked with.
-    """
-    m1 = noise_density
-    m0 = 1.0 - m1
-    a_t = a_t.astype(np.float64)
-    # Q_t[x_{t-1}=k, x_t]: transition into the observed x_t.
-    noise_into_xt = m0 * (1.0 - a_t) + m1 * a_t
-    trans_into_xt = {
-        0: (1.0 - beta_t) * (1.0 - a_t) + beta_t * noise_into_xt,
-        1: (1.0 - beta_t) * a_t + beta_t * noise_into_xt,
-    }
-    # Qbar_{t-1}[x_0, x_{t-1}=k] for both hypothetical x_0 values.
-    cum = {
-        (0, 0): ab_prev + (1.0 - ab_prev) * m0,
-        (0, 1): (1.0 - ab_prev) * m1,
-        (1, 0): (1.0 - ab_prev) * m0,
-        (1, 1): ab_prev + (1.0 - ab_prev) * m1,
-    }
-    p_x0 = np.clip(p_x0, 1e-9, 1.0 - 1e-9)
-    unnorm: dict[int, np.ndarray] = {}
-    for k in (0, 1):
-        unnorm[k] = (
-            (1.0 - p_x0) * (cum[(0, k)] * trans_into_xt[k])
-            + p_x0 * (cum[(1, k)] * trans_into_xt[k])
-        )
-    total = unnorm[0] + unnorm[1]
-    return unnorm[1] / np.maximum(total, 1e-30)
+        m1 = self.noise_density
+        m0 = 1.0 - m1
+        beta_t = self.beta[t]
+        ab_prev = self.alpha_bar[t - 1]
+        a_t = a_t.astype(np.float64)
+        # Q_t[x_{t-1}=k, x_t]: transition into the observed x_t.
+        noise_into_xt = m0 * (1.0 - a_t) + m1 * a_t
+        trans_into_xt = {
+            0: (1.0 - beta_t) * (1.0 - a_t) + beta_t * noise_into_xt,
+            1: (1.0 - beta_t) * a_t + beta_t * noise_into_xt,
+        }
+        # Qbar_{t-1}[x_0, x_{t-1}=k] for both hypothetical x_0 values.
+        cum = {
+            (0, 0): ab_prev + (1.0 - ab_prev) * m0,
+            (0, 1): (1.0 - ab_prev) * m1,
+            (1, 0): (1.0 - ab_prev) * m0,
+            (1, 1): ab_prev + (1.0 - ab_prev) * m1,
+        }
+        p_x0 = np.clip(p_x0, 1e-9, 1.0 - 1e-9)
+        unnorm: dict[int, np.ndarray] = {}
+        for k in (0, 1):
+            unnorm[k] = (
+                (1.0 - p_x0) * (cum[(0, k)] * trans_into_xt[k])
+                + p_x0 * (cum[(1, k)] * trans_into_xt[k])
+            )
+        total = unnorm[0] + unnorm[1]
+        return unnorm[1] / np.maximum(total, 1e-30)

@@ -21,13 +21,20 @@ from ..ir import CircuitGraph, GraphView
 from ..lint.sanitize import from_config as _sanitizer_from_config
 from ..lint.sanitize import sanitizing
 from ..obs import get_logger, registry, span
-from ..tiers import EXACT_TIER, FAST_EXIT_PATIENCE, FAST_TIER, check_tier
 from .actions import SwapIndex, apply_swap
 from .cones import Cone, all_cones, driving_cone
 from .reward import ConeBatchEvaluator, SynthesisReward
 from .tree import ConeSearchResult, MCTSOptimizer, RewardFn
 
 logger = get_logger(__name__)
+
+#: The default Phase-3 tier: every register cone is searched, in
+#: register order, so results are byte-stable.
+EXACT_TIER = "exact"
+
+#: The throughput tier: headroom-triaged cone search with an early exit
+#: and estimate-filtered oracle calls (see :class:`MCTSConfig`).
+FAST_TIER = "fast"
 
 
 @dataclass
@@ -83,21 +90,21 @@ class MCTSConfig:
     closed) -- keeping the search inside the original design's
     observable behaviour.
 
-    ``tier`` selects the numeric contract (see :mod:`repro.tiers`).
-    ``"exact"`` (the default) keeps every byte-stability guarantee:
-    every register cone is searched, in register order.  ``"fast"`` is
-    the throughput tier: the search walks cones in redundancy-headroom
-    order (:func:`_triage_cones`), stops after
-    :data:`repro.tiers.FAST_EXIT_PATIENCE` consecutive cones without
-    an accepted rewrite, and skips the synthesis-oracle call for
-    marginal estimate gains (:data:`repro.tiers.FAST_ORACLE_MARGIN`).
-    A design whose base synthesis collapses to nothing searches *every*
-    cone until an accept lifts it off zero -- any cone may hold the
-    rescuing rewrite.  Acceptance stays oracle-gated in both tiers --
-    the drift the triage induces is bounded by the tier-1 tolerance gate
-    (:data:`repro.tiers.FAST_SCPR_TOLERANCE`).  Applies only when the
-    incremental engine is in play; an explicit ``reward_fn`` is always
-    exact-gated as before.
+    ``tier`` selects the Phase-3 search budget.  ``"exact"`` (the
+    default) keeps every byte-stability guarantee: every register cone
+    is searched, in register order.  ``"fast"`` is the throughput tier:
+    the search walks cones in redundancy-headroom order
+    (:func:`_triage_cones`), stops after :data:`FAST_EXIT_PATIENCE`
+    consecutive cones without an accepted rewrite, and skips the
+    synthesis-oracle call for marginal estimate gains
+    (:data:`FAST_ORACLE_MARGIN`).  A design whose base synthesis
+    collapses to nothing searches *every* cone until an accept lifts it
+    off zero -- any cone may hold the rescuing rewrite.  Acceptance
+    stays oracle-gated in both tiers -- the drift the triage induces is
+    bounded by the tier-1 tolerance gate (:mod:`repro.bench.drift`).
+    Applies only when the incremental engine is in play; an explicit
+    ``reward_fn`` is always exact-gated as before.  Phases 1 and 2 do
+    not depend on the tier.
 
     ``sanitize`` audits the run with :mod:`repro.lint.sanitize`: every
     incrementally maintained structure the search touches (GraphView
@@ -123,6 +130,12 @@ class MCTSConfig:
     sanitize: bool = False
     tier: str = EXACT_TIER
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.tier not in (EXACT_TIER, FAST_TIER):
+            raise ValueError(
+                f"unknown tier {self.tier!r}: expected exact or fast"
+            )
 
 
 @dataclass
@@ -360,9 +373,7 @@ def _search_registers(
     search_base, incremental, oracle = _resolve_search_rewards(
         config, reward_fn
     )
-    fast = (
-        check_tier(config.tier) == FAST_TIER and incremental is not None
-    )
+    fast = config.tier == FAST_TIER and incremental is not None
     sanitizer = _sanitizer_from_config(config.sanitize, seed=config.seed)
     current = graph.copy()
     report = OptimizationReport(
@@ -534,15 +545,36 @@ def _search_registers(
     return report
 
 
+#: Fast-tier cone-triage coverage: Phase 3 ranks register cones by the
+#: redundancy estimate's headroom (surviving interior nodes) and keeps
+#: the top cones until they cover this fraction of the circuit's total
+#: headroom.  Adaptive by construction: circuits whose headroom is
+#: spread evenly keep most cones, concentrated ones keep few.  Bypassed
+#: in rescue mode (base PCS of zero), where every cone is a candidate
+#: to make the design survive synthesis at all.
+FAST_CONE_COVERAGE = 0.65
+
+#: Fast-tier oracle-call filter: an improved cone state whose relative
+#: estimate gain is below this margin is rejected without spending a
+#: synthesis-oracle call on it.  Marginal estimate gains are the
+#: candidates the oracle most often vetoes anyway; the true gains lost
+#: are bounded by the margin itself and covered by the drift gate.
+FAST_ORACLE_MARGIN = 0.02
+
+#: Fast-tier early exit: after this many *consecutive* cones searched
+#: without an accepted rewrite, the remaining (lower-headroom) cones are
+#: skipped.  Because cones are visited in headroom order, a dud streak
+#: means the estimate's priced-in gains have dried up.
+FAST_EXIT_PATIENCE = 2
+
+
 def _worth_oracle(result: ConeSearchResult) -> bool:
     """Whether a fast-tier improvement justifies a synthesis-oracle call.
 
     Requires the relative estimate gain to clear
-    :data:`repro.tiers.FAST_ORACLE_MARGIN`; below it the candidate is
-    rejected outright (see the acceptance loop).
+    :data:`FAST_ORACLE_MARGIN`; below it the candidate is rejected
+    outright (see the acceptance loop).
     """
-    from ..tiers import FAST_ORACLE_MARGIN
-
     floor = abs(result.initial_reward) * FAST_ORACLE_MARGIN
     return result.best_reward >= result.initial_reward + max(floor, 1e-12)
 
@@ -556,17 +588,16 @@ def _triage_cones(
     once: a cone's headroom is how many of its interior nodes the
     estimate says will *survive* synthesis -- logic the search could
     still fold away.  Cones are returned in descending-headroom order,
-    pre-filtered to :data:`repro.tiers.FAST_CONE_COVERAGE` of the
-    circuit's total headroom (``keep_all`` skips the filter -- rescue
-    mode for designs that synthesize to nothing): the acceptance loop
-    walks them front to back and stops after
-    :data:`repro.tiers.FAST_EXIT_PATIENCE` consecutive duds, so the
-    skipped tail is where the estimate says an accepted rewrite is
-    least likely *and* recent searches agree.  The SCPR drift this
-    trades away is measured and bounded by the tier's tolerance gate.
+    pre-filtered to :data:`FAST_CONE_COVERAGE` of the circuit's total
+    headroom (``keep_all`` skips the filter -- rescue mode for designs
+    that synthesize to nothing): the acceptance loop walks them front
+    to back and stops after :data:`FAST_EXIT_PATIENCE` consecutive
+    duds, so the skipped tail is where the estimate says an accepted
+    rewrite is least likely *and* recent searches agree.  The SCPR
+    drift this trades away is measured and bounded by the tier's
+    tolerance gate.
     """
     from ..incr.analysis import analyze_redundancy
-    from ..tiers import FAST_CONE_COVERAGE
 
     survivors = analyze_redundancy(graph).survivors()
     headroom = {

@@ -274,14 +274,13 @@ PAPER_SCALE = {
 
 
 # ---------------------------------------------------------------------------
-# Exact-vs-fast tier differential (the repro.tiers contract).
+# Exact-vs-fast tier differential (``MCTSConfig.tier``).
 
 #: ``(nodes, seed, count)`` generation-request compositions whose
 #: fast-tier drift was measured deterministic and inside the published
 #: tolerances under the session built by
 #: :func:`tier_differential_session`.  Mixed node ranges, fixed sizes
-#: and odd counts (batch remainders through the fused sampler's padded
-#: posterior) are all represented.  The fuzzer *samples* compositions
+#: and odd counts are all represented.  The fuzzer *samples* compositions
 #: from this verified pool rather than inventing arbitrary ones:
 #: fast-tier drift is a property of the trained model and the
 #: composition, so an unvetted composition can sit legitimately outside

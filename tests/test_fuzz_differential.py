@@ -337,10 +337,10 @@ class TestDeepFuzz:
 
 # ---------------------------------------------------------------------------
 class TestTierDifferential:
-    """Exact-vs-fast generation differential (the repro.tiers contract).
+    """Exact-vs-fast generation differential (``MCTSConfig.tier``).
 
     Random batch compositions -- mixed node ranges, fixed sizes, odd
-    counts that leave fused-batch remainders -- are drawn from the
+    counts -- are drawn from the
     drift-verified pool in ``fuzz_harness`` and run at both tiers:
 
     * the fast tier's family-mean SCPR/area drift must stay inside the
@@ -366,9 +366,9 @@ class TestTierDifferential:
             )
             for nodes, seed, count in tier_batch_compositions(0, rounds=3)
         ]
-        # At least one odd count in every smoke draw: remainder handling
-        # is the fused sampler's sharp edge.  The substitute is itself a
-        # pool composition -- only verified compositions ever run.
+        # At least one odd count in every smoke draw.  The substitute is
+        # itself a pool composition -- only verified compositions ever
+        # run.
         if all(request.count % 2 == 0 for request in requests):
             requests[-1] = GenerateRequest(
                 count=5, nodes=(36, 52), optimize=True, seed=5

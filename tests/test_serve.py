@@ -230,6 +230,14 @@ class TestServeEndToEnd:
         with pytest.raises(ServeError, match="400"):
             client.submit({"count": 1, "bogus_field": True})
 
+    def test_unknown_tier_is_400(self, client):
+        # Rejected when the request is built at submit, so no job is
+        # queued only to fail later inside a worker.
+        jobs_before = len(client.jobs())
+        with pytest.raises(ServeError, match="400.*unknown tier"):
+            client.submit({"count": 1, "tier": "turbo"})
+        assert len(client.jobs()) == jobs_before
+
     def test_worker_failure_is_isolated(self, client):
         # nodes=0 passes request validation but raises inside the
         # engine: the job fails, the worker survives for the next job.

@@ -1,11 +1,13 @@
-"""Two-tier numeric contract: tier plumbing, bit-identity, drift gate.
+"""Two-tier contract: tier plumbing, bit-identity, drift gate.
 
-Three layers of the ``exact``/``fast`` contract (:mod:`repro.tiers`):
+The tier (``MCTSConfig.tier``) is a Phase-3 search setting:
 
-* the tier *names* and published tolerances are stable API;
-* the ``exact`` tier is byte-stable -- ``sample_batch`` stays
-  element-wise bit-identical to solo sampling, and a request with
-  ``tier="exact"`` produces exactly what ``tier=None`` does;
+* the tier *names* and published tolerances are stable API, and an
+  unknown tier is rejected when the config or the request is built;
+* sampling is byte-stable and tier-free -- ``sample_batch`` stays
+  element-wise bit-identical to solo sampling, a request with
+  ``tier="exact"`` produces exactly what ``tier=None`` does, and
+  without Phase 3 a ``tier="fast"`` request does too;
 * the ``fast`` tier is tolerance-gated -- :func:`measure_drift` runs
   the pinned gate families at both tiers and the family-mean SCPR/area
   drift must sit inside ``FAST_SCPR_TOLERANCE`` / ``FAST_AREA_TOLERANCE``.
@@ -23,12 +25,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import tiers
 from repro.api import GenerateRequest, Session
 from repro.api.presets import resolve_preset
-from repro.bench.drift import measure_drift
+from repro.bench.drift import (
+    FAST_AREA_TOLERANCE,
+    FAST_SCPR_TOLERANCE,
+    measure_drift,
+)
 from repro.bench_designs import load_corpus
 from repro.diffusion import sample_batch, sample_initial_graph, train_diffusion
+from repro.mcts import MCTSConfig
+from repro.mcts import optimize as mcts_optimize
 from repro.obs import registry
 
 
@@ -58,31 +65,28 @@ def _item_rngs(seed: int, count: int) -> list[np.random.Generator]:
 
 class TestTierContract:
     def test_tier_names_and_checks(self):
-        assert tiers.TIERS == (tiers.EXACT_TIER, tiers.FAST_TIER)
-        assert tiers.check_tier("exact") == "exact"
-        assert tiers.check_tier("fast") == "fast"
-        assert tiers.is_fast("fast")
-        assert not tiers.is_fast("exact")
+        assert mcts_optimize.EXACT_TIER == "exact"
+        assert mcts_optimize.FAST_TIER == "fast"
+        assert MCTSConfig().tier == "exact"
+        assert MCTSConfig(tier="fast").tier == "fast"
+        assert GenerateRequest().tier is None
         with pytest.raises(ValueError, match="unknown tier"):
-            tiers.check_tier("turbo")
+            MCTSConfig(tier="turbo")
         with pytest.raises(ValueError, match="unknown tier"):
-            tiers.is_fast("")
+            dataclasses.replace(MCTSConfig(), tier="")
+        with pytest.raises(ValueError, match="unknown tier"):
+            GenerateRequest.from_dict({"tier": "turbo"})
 
     def test_published_tolerances_are_sane(self):
-        assert 0.0 < tiers.FAST_SCPR_TOLERANCE <= 0.5
-        assert 0.0 < tiers.FAST_AREA_TOLERANCE <= 0.5
-        assert 0.0 < tiers.FAST_CONE_COVERAGE <= 1.0
-        assert 0.0 <= tiers.FAST_ORACLE_MARGIN < 1.0
-        assert tiers.FAST_EXIT_PATIENCE >= 1
+        assert 0.0 < FAST_SCPR_TOLERANCE <= 0.5
+        assert 0.0 < FAST_AREA_TOLERANCE <= 0.5
+        assert 0.0 < mcts_optimize.FAST_CONE_COVERAGE <= 1.0
+        assert 0.0 <= mcts_optimize.FAST_ORACLE_MARGIN < 1.0
+        assert mcts_optimize.FAST_EXIT_PATIENCE >= 1
 
     def test_session_rejects_unknown_tier(self, session):
         with pytest.raises(ValueError, match="unknown tier"):
             session.generate(GenerateRequest(count=1, nodes=36, tier="turbo"))
-
-    def test_sampler_rejects_unknown_tier(self, smoke_trained):
-        _, _, trained = smoke_trained
-        with pytest.raises(ValueError, match="unknown tier"):
-            sample_batch(trained, [36], _item_rngs(0, 1), tier="turbo")
 
     def test_request_key_separates_tiers(self):
         from repro.serve import request_key
@@ -124,42 +128,11 @@ class TestExactSampler:
         sample_batch(trained, sizes, _item_rngs(7, len(sizes)))
         assert registry().value("diffusion_batch_fill_ratio") == \
             pytest.approx((2 ** 2 + 1 + 1) / 4 ** 2)
-        sample_batch(trained, sizes, _item_rngs(7, len(sizes)), tier="fast")
+
+    def test_empty_batch(self, smoke_trained):
+        _, _, trained = smoke_trained
+        assert sample_batch(trained, [], []) == []
         assert registry().value("diffusion_batch_fill_ratio") == 1.0
-
-
-class TestFastSampler:
-    def test_mixed_sizes_and_odd_remainders(self, smoke_trained):
-        _, _, trained = smoke_trained
-        # Heterogeneous, odd count, duplicated size: the padded
-        # cross-graph posterior must handle every composition.
-        sizes = [33, 47, 41, 33, 52]
-        first = sample_batch(
-            trained, sizes, _item_rngs(42, len(sizes)), tier="fast"
-        )
-        second = sample_batch(
-            trained, sizes, _item_rngs(42, len(sizes)), tier="fast"
-        )
-        assert len(first) == len(second) == len(sizes)
-        # The empty batch is a composition too, in both tiers.
-        for tier in tiers.TIERS:
-            assert sample_batch(trained, [], [], tier=tier) == []
-        for got, again, n in zip(first, second, sizes):
-            assert got.adjacency.shape == (n, n)
-            assert got.adjacency.dtype == bool
-            assert got.edge_probability.shape == (n, n)
-            assert np.all(got.edge_probability >= 0.0)
-            assert np.all(got.edge_probability <= 1.0)
-            # Deterministic per seed, like the exact tier.
-            assert np.array_equal(got.adjacency, again.adjacency)
-            assert np.array_equal(
-                got.edge_probability, again.edge_probability
-            )
-
-    def test_single_item_batch(self, smoke_trained):
-        _, _, trained = smoke_trained
-        (result,) = sample_batch(trained, [39], _item_rngs(9, 1), tier="fast")
-        assert result.adjacency.shape == (39, 39)
 
 
 class TestExactTierRequests:
@@ -170,6 +143,24 @@ class TestExactTierRequests:
         assert len(default.graphs) == len(explicit.graphs) == 2
         for a, b in zip(default.graphs, explicit.graphs):
             assert a.to_dict() == b.to_dict()
+        # The tier only selects the Phase-3 search: without Phase 3 a
+        # fast request returns the exact request's graphs, through the
+        # batch path and through iter_generate's chunked presampling
+        # (chunks of 4 x workers items, so 10 items take two chunks).
+        unoptimized = GenerateRequest(
+            count=10, nodes=(36, 52), optimize=False, seed=3, workers=2
+        )
+        exact = [
+            graph.to_dict() for graph in session.generate(
+                dataclasses.replace(unoptimized, tier="exact")
+            ).graphs
+        ]
+        fast = dataclasses.replace(unoptimized, tier="fast")
+        assert [graph.to_dict() for graph in session.generate(fast).graphs] \
+            == exact
+        assert [
+            record.graph.to_dict() for record in session.iter_generate(fast)
+        ] == exact
 
 
 #: Drift-verified gate compositions.  Each was measured deterministic at
@@ -189,8 +180,8 @@ class TestDriftGate:
     def test_fast_tier_drift_within_tolerance(self, session):
         report = measure_drift(session, GATE_FAMILIES, clock_period=2.0)
         assert len(report.families) == len(GATE_FAMILIES)
-        assert report.scpr_tolerance == tiers.FAST_SCPR_TOLERANCE
-        assert report.area_tolerance == tiers.FAST_AREA_TOLERANCE
+        assert report.scpr_tolerance == FAST_SCPR_TOLERANCE
+        assert report.area_tolerance == FAST_AREA_TOLERANCE
         assert report.within_tolerance(), "\n".join(report.violations())
 
     def test_report_round_trips_to_dict(self):
@@ -225,7 +216,6 @@ def test_bench_suite_exposes_throughput_entries():
     config = resolve_preset("smoke", seed=0)
     names = [benchmark.name for benchmark in build_suite(config)]
     for name in (
-        "diffusion.fused_gemm",
         "e2e.generate_batch",
         "e2e.generate_fast",
     ):
