@@ -14,8 +14,12 @@ which is deliberately asymmetric in (i, j) -- the paper's fix for the
 commutative dot-product/Euclidean decoders of prior work.
 
 Training uses the autograd path over sampled pairs; inference uses a
-vectorised numpy path (`predict_full`) that scores all N^2 pairs in
-row-chunks without building an autograd tape.
+vectorised numpy path (`predict_full`, `predict_full_batch`) that scores
+all N^2 pairs without building an autograd tape.  Its decoder walks each
+graph in row blocks sized to a fixed cache budget, so the workspace stays
+bounded whatever N and the batch size are; blocking never changes a GEMM
+slice shape or an element's op order, so the output is bit-identical to
+an unblocked evaluation.
 """
 
 from __future__ import annotations
@@ -25,6 +29,12 @@ import numpy as np
 from ..ir import NUM_TYPES
 from ..nn import MLP, Embedding, Linear, Module, Tensor, sigmoid_np, time_features
 from .features import NUM_WIDTH_BUCKETS
+
+# Byte budget of one row block of the pair decoder's (rows, N, H) float64
+# workspace (see DenoisingNetwork._decode_np).  Two such buffers are live
+# per forward.  A sweep of 64 KiB - 4 MiB (hidden 48, one BLAS thread, a
+# Xeon with 2 MiB L2 per core) put the optimum at 256-512 KiB.
+_BLOCK_BYTES = 256 * 1024
 
 
 class DirectedMPNNEncoder(Module):
@@ -111,7 +121,7 @@ class DenoisingNetwork(Module):
     # ------------------------------------------------------------------
     def predict_full(self, types: np.ndarray, widths: np.ndarray,
                      a_t: np.ndarray, t_frac: float,
-                     chunk: int = 128, logit_bias: float = 0.0) -> np.ndarray:
+                     logit_bias: float = 0.0) -> np.ndarray:
         """Probability matrix P_E over all ordered pairs (i, j).
 
         ``logit_bias`` applies the negative-sampling prior correction:
@@ -121,32 +131,11 @@ class DenoisingNetwork(Module):
         unaffected; sampled densities become calibrated.
         """
         h = self._encode_np(types, widths, a_t, t_frac)
-        n = h.shape[0]
-        feats = time_features(t_frac, self.encoder.time_dim)
-        r = _mlp_np(self.decoder.relation_mlp, feats)[0]
-        d = _mlp_np(self.decoder.timestep_mlp, feats)[0]
-
-        edge = self.decoder.edge_mlp.layers
-        w1, b1 = _wb(edge[0])
-        w2, b2 = _wb(edge[1])
-        hidden = self.decoder.hidden
-        w1_z, w1_d = w1[:hidden], w1[hidden:]
-        d_bias = d @ w1_d + b1  # constant contribution of the time concat
-
-        probs = np.empty((n, n))
-        h_r = h + r
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            # z[i, j, :] = (H_i + r) * H_j for i in [lo, hi)
-            z = h_r[lo:hi, None, :] * h[None, :, :]
-            a1 = np.maximum(z @ w1_z + d_bias, 0.0)
-            logits = (a1 @ w2 + b2)[..., 0] + logit_bias
-            probs[lo:hi] = sigmoid_np(logits)
-        return probs
+        return self._decode_np(h[None], t_frac, logit_bias)[0]
 
     def predict_full_batch(
         self, types: np.ndarray, widths: np.ndarray, a_t: np.ndarray,
-        t_frac: float, chunk: int = 128, logit_bias: float = 0.0,
+        t_frac: float, logit_bias: float = 0.0,
     ) -> np.ndarray:
         """Batched :meth:`predict_full`: ``types``/``widths`` are
         ``(B, N)``, ``a_t`` is ``(B, N, N)``; returns ``(B, N, N)``.
@@ -163,6 +152,24 @@ class DenoisingNetwork(Module):
         measurably changes low-order bits).
         """
         h = self._encode_np_batch(types, widths, a_t, t_frac)  # (B, N, H)
+        return self._decode_np(h, t_frac, logit_bias)
+
+    def _decode_np(self, h: np.ndarray, t_frac: float,
+                   logit_bias: float) -> np.ndarray:
+        """Edge probabilities ``(B, N, N)`` from node embeddings
+        ``(B, N, H)``: the cache-blocked pair decoder.
+
+        The first decoder layer needs the ``(N, N, H)`` pair tensor
+        ``z[i, j] = (H_i + r) * H_j``; built whole at hidden 48 it
+        outgrows a 2 MiB L2 from about 75 nodes on, and its elementwise
+        passes become bound by memory traffic.  So each item is walked
+        in row blocks whose ``(rows, N, H)`` workspace fits
+        :data:`_BLOCK_BYTES`, through two buffers allocated once per
+        forward.  Blocking only changes which rows share a call: every
+        matmul slice is still ``(N, H) @ (H, H)`` (then ``@ (H, 1)``)
+        and each element sees the same operations in the same order, so
+        the output is bit-identical for every block size.
+        """
         batch, n, hidden = h.shape
         feats = time_features(t_frac, self.encoder.time_dim)
         r = _mlp_np(self.decoder.relation_mlp, feats)[0]
@@ -172,31 +179,27 @@ class DenoisingNetwork(Module):
         w1, b1 = _wb(edge[0])
         w2, b2 = _wb(edge[1])
         w1_z, w1_d = w1[:hidden], w1[hidden:]
-        d_bias = d @ w1_d + b1
+        d_bias = d @ w1_d + b1  # constant contribution of the time concat
 
-        probs = np.empty((batch, n, n))
+        block = max(1, min(n, _BLOCK_BYTES // (n * hidden * 8)))
+        pairs = np.empty((block, n, hidden))
+        act = np.empty((block, n, hidden))
+        logits = np.empty((batch, n, n))
         h_r = h + r
-        # Keep the in-flight workspace at the unbatched path's footprint
-        # (chunk rows *total*, not per sample), and reuse one buffer for
-        # the activation chain: the decoder is bandwidth-bound, so
-        # spilling cache with a B-times-larger z would cost more than
-        # the batching saves.  Chunk size and in-place arithmetic are
-        # pure scheduling choices -- every matmul slice stays (N, H) and
-        # the op order is predict_full's -- so no output bit moves.
-        chunk = max(1, min(chunk, n) // batch)
-        buf = np.empty((batch, chunk, n, hidden))
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            rows = hi - lo
-            z = buf[:, :rows] if rows < chunk else buf
-            # z[k, i, j, :] = (H_i + r) * H_j for sample k, i in [lo, hi)
-            np.multiply(h_r[:, lo:hi, None, :], h[:, None, :, :], out=z)
-            a1 = z @ w1_z
-            np.add(a1, d_bias, out=a1)
-            np.maximum(a1, 0.0, out=a1)
-            logits = (a1 @ w2 + b2)[..., 0] + logit_bias
-            probs[:, lo:hi] = sigmoid_np(logits)
-        return probs
+        for k in range(batch):
+            for lo in range(0, n, block):
+                hi = min(lo + block, n)
+                z = pairs[:hi - lo]
+                a1 = act[:hi - lo]
+                # z[i, j, :] = (H_i + r) * H_j for i in [lo, hi)
+                np.multiply(h_r[k, lo:hi, None, :], h[k, None, :, :], out=z)
+                np.matmul(z, w1_z, out=a1)
+                a1 += d_bias
+                np.maximum(a1, 0.0, out=a1)
+                np.matmul(a1, w2, out=logits[k, lo:hi, :, None])
+        logits += b2
+        logits += logit_bias
+        return sigmoid_np(logits)
 
     def _encode_np_batch(self, types: np.ndarray, widths: np.ndarray,
                          a_t: np.ndarray, t_frac: float) -> np.ndarray:

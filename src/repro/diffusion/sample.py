@@ -92,7 +92,8 @@ def sample_batch(
     Items are grouped by node count and each group walks the reverse
     process in lockstep: per step, one
     :meth:`~repro.diffusion.model.DenoisingNetwork.predict_full_batch`
-    forward scores the whole group (row-stacked GEMMs), while every
+    forward scores the whole group (one stacked encoder pass, then the
+    cache-blocked pair decoder per item), while every
     stochastic draw still comes from the item's own generator in the
     same order as :func:`sample_initial_graph` would consume it.  The
     result list is therefore element-wise bit-identical to calling

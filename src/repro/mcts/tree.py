@@ -28,8 +28,8 @@ class _TreeNode:
     graph: CircuitGraph
     reward: float
     depth: int
-    parent: "._TreeNode | None" = None
-    children: dict[Swap, "_TreeNode"] = field(default_factory=dict)
+    parent: _TreeNode | None = None
+    children: dict[Swap, _TreeNode] = field(default_factory=dict)
     untried: list[Swap] = field(default_factory=list)
     visits: int = 0
     total: float = 0.0

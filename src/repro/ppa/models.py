@@ -16,8 +16,8 @@ import numpy as np
 class _Node:
     feature: int = -1
     threshold: float = 0.0
-    left: "._Node | None" = None
-    right: "._Node | None" = None
+    left: _Node | None = None
+    right: _Node | None = None
     value: float = 0.0
 
     @property

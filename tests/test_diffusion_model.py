@@ -13,7 +13,9 @@ from repro.diffusion import (
     train_diffusion,
     width_bucket,
 )
+from repro.diffusion import model as model_module
 from repro.ir import GraphBuilder, NodeType, type_index
+from repro.nn import sigmoid_np, time_features
 
 
 def tiny_graph():
@@ -97,14 +99,56 @@ class TestDenoisingNetwork:
         p2 = net.predict_full(types, buckets, a_t, 0.9)
         assert np.abs(p1 - p2).max() > 1e-6
 
-    def test_chunked_prediction_consistent(self):
-        net = DenoisingNetwork(hidden=16, num_layers=2, seed=0)
-        g = tiny_graph()
-        types, buckets = graph_attributes(g)
-        a_t = g.adjacency()
-        p_big = net.predict_full(types, buckets, a_t, 0.5, chunk=2)
-        p_one = net.predict_full(types, buckets, a_t, 0.5, chunk=1000)
-        np.testing.assert_allclose(p_big, p_one)
+    @pytest.mark.parametrize(
+        "rows",
+        # one row per block; 5-row blocks, so 23 rows end in a ragged
+        # block of 3; one block for the whole graph
+        [1, 5, None],
+        ids=["row-per-block", "ragged-last-block", "single-block"],
+    )
+    def test_blocked_decoder_bit_identical_to_unblocked(self, monkeypatch,
+                                                        rows):
+        n, hidden = 23, 16
+        budget = 1 << 40 if rows is None else rows * n * hidden * 8
+        monkeypatch.setattr(model_module, "_BLOCK_BYTES", budget)
+        net = DenoisingNetwork(hidden=hidden, num_layers=2, seed=0)
+        rng = np.random.default_rng(4)
+        types = rng.integers(0, 5, (3, n))
+        buckets = rng.integers(0, 4, (3, n))
+        a_t = rng.random((3, n, n)) < 0.15
+
+        solo = net.predict_full(types[0], buckets[0], a_t[0], 0.3,
+                                logit_bias=-0.7)
+        h = net._encode_np(types[0], buckets[0], a_t[0], 0.3)
+        want = _unblocked_decode(net, h[None], 0.3, -0.7)[0]
+        np.testing.assert_array_equal(solo, want)
+
+        stacked = net.predict_full_batch(types, buckets, a_t, 0.3,
+                                         logit_bias=-0.7)
+        h = net._encode_np_batch(types, buckets, a_t, 0.3)
+        want = _unblocked_decode(net, h, 0.3, -0.7)
+        np.testing.assert_array_equal(stacked, want)
+
+
+def _unblocked_decode(net, h, t_frac, logit_bias):
+    """The pair decoder in one shot: the whole ``(B, N, N, H)`` pair
+    tensor at once, no blocks and no reused buffers."""
+    def mlp(m, x):
+        for layer in m.layers[:-1]:
+            x = np.maximum(x @ layer.weight.data + layer.bias.data, 0.0)
+        return x @ m.layers[-1].weight.data + m.layers[-1].bias.data
+
+    hidden = h.shape[-1]
+    feats = time_features(t_frac, net.encoder.time_dim)
+    r = mlp(net.decoder.relation_mlp, feats)[0]
+    d = mlp(net.decoder.timestep_mlp, feats)[0]
+    first, last = net.decoder.edge_mlp.layers
+    w1, b1 = first.weight.data, first.bias.data
+    d_bias = d @ w1[hidden:] + b1
+    z = (h + r)[:, :, None, :] * h[:, None, :, :]
+    a1 = np.maximum(z @ w1[:hidden] + d_bias, 0.0)
+    logits = (a1 @ last.weight.data + last.bias.data)[..., 0] + logit_bias
+    return sigmoid_np(logits)
 
 
 class TestTraining:

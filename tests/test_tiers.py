@@ -107,9 +107,10 @@ class TestTierContract:
 class TestExactSampler:
     def test_batch_bit_identical_to_solo(self, smoke_trained):
         _, _, trained = smoke_trained
-        # 128 is the decoder's row chunk: 129 and 200 run a second,
-        # partial chunk, and 129 appears twice so a multi-item group
-        # crosses it too.
+        # Under the decoder's block budget the sizes up to 44 fit one
+        # row block while 128, 129 and 200 take many (129's last block
+        # is ragged), and 129 appears twice so a multi-item group walks
+        # the blocks too.
         sizes = [36, 44, 36, 40, 128, 129, 200, 129]
         batch = sample_batch(trained, sizes, _item_rngs(123, len(sizes)))
         solo = [
