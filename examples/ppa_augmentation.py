@@ -26,7 +26,7 @@ def main() -> None:
     session.fit(train)
 
     print("generating 10 pseudo-circuits (w/ and w/o MCTS optimization) ...")
-    result = session.generate_batch(GenerateRequest(
+    result = session.generate(GenerateRequest(
         count=10, nodes=(40, 60), optimize=True, seed=3, workers=4,
     ))
 

@@ -34,7 +34,7 @@ def main() -> None:
     print("fitting (cached in the artifact store after the first run) ...")
     session.fit(verbose=True)
 
-    result = session.generate_batch(GenerateRequest(
+    result = session.generate(GenerateRequest(
         count=3, nodes=(40, 60), optimize=True, seed=1,
         workers=3, synth_period=1.0,
     ))

@@ -38,7 +38,7 @@ for name, diffusion in variants.items():
     session.fit(train)
     t_fit = time.time() - t0
 
-    result = session.generate_batch(GenerateRequest(
+    result = session.generate(GenerateRequest(
         count=3, nodes=reference.num_nodes, optimize=False,
         seed=0, workers=3,
     ))

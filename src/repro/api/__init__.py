@@ -2,12 +2,12 @@
 
 Everything a caller needs lives here: sessions with a persistent
 artifact store, typed request/response objects with JSON round-trips,
-named scenario presets, and parallel batch generation.
+named scenario presets, and multi-threaded generation.
 
     from repro.api import Session, GenerateRequest
 
     session = Session(preset="fast").fit()
-    result = session.generate_batch(
+    result = session.generate(
         GenerateRequest(count=8, nodes=(40, 60), workers=4, seed=1)
     )
     for graph in result.graphs:

@@ -71,6 +71,8 @@ class GenerateRequest:
     Any other value is rejected at construction.  The field is part of
     the serve layer's dedup ``request_key``, so exact and fast results
     never alias in the artifact store.
+    A negative ``count`` or ``seed`` and a ``nodes`` range with
+    ``low > high`` are rejected at construction too.
     """
 
     count: int = 1
@@ -89,6 +91,14 @@ class GenerateRequest:
         if self.tier not in (None, EXACT_TIER, FAST_TIER):
             raise ValueError(
                 f"unknown tier {self.tier!r}: expected exact or fast"
+            )
+        if self.count < 0:
+            raise ValueError(f"count must be >= 0, got {self.count}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if isinstance(self.nodes, tuple) and self.nodes[0] > self.nodes[1]:
+            raise ValueError(
+                f"nodes range {self.nodes} is reversed: expected (low, high)"
             )
 
     def to_dict(self) -> dict:

@@ -7,11 +7,11 @@ exposes the whole reproduction through typed requests:
 * :meth:`fit` -- train (or *load*, on a content-address hit) the
   diffusion generator and reward model.  Identical config + training set
   never retrains, across runs and across processes.
-* :meth:`generate` / :meth:`generate_batch` / :meth:`iter_generate` --
-  produce synthetic circuits.  Per-item seeds are derived with
-  ``np.random.SeedSequence(seed).spawn``, so the parallel fan-out is
-  bit-identical to the sequential path and any item can be recomputed
-  in isolation.
+* :meth:`generate` / :meth:`iter_generate` -- produce synthetic
+  circuits, all at once or streamed in index order.  Per-item seeds are
+  derived with ``np.random.SeedSequence(seed).spawn``, so any
+  ``workers`` count is bit-identical to the sequential run and any item
+  can be recomputed in isolation.
 * :meth:`synth` -- synthesis with store-backed memoization of the PPA
   summary.
 * :meth:`evaluate` -- Table II structural similarity vs a reference.
@@ -20,12 +20,15 @@ exposes the whole reproduction through typed requests:
 
     with Session(preset="fast") as session:
         session.fit()
-        result = session.generate_batch(count=8, nodes=(40, 60), workers=4)
+        result = session.generate(count=8, nodes=(40, 60), workers=4)
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import dataclasses
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
@@ -50,13 +53,13 @@ from .store import ArtifactStore, graphs_fingerprint
 
 
 class BatchItemError(RuntimeError):
-    """One item of a generate batch failed.
+    """One item of a generation request failed.
 
-    Carries the failing request's batch ``index`` (and item name) and
-    chains the worker's original exception as ``__cause__``.  When it is
-    raised, every *pending* sibling future has been cancelled; items
-    already running are allowed to finish (threads cannot be aborted)
-    but their results are discarded.
+    Carries the failing item's ``index`` (and item name) and chains the
+    original exception as ``__cause__``.  When it is raised, no pending
+    sibling will start; with ``workers > 1``, items already running are
+    allowed to finish (threads cannot be aborted) but their results are
+    discarded.
     """
 
     def __init__(self, index: int, name: str, cause: BaseException):
@@ -95,13 +98,17 @@ class Session:
         use_cache: bool = True,
     ):
         if config is not None:
-            self.config = config
             if seed is not None:
                 # Same contract as resolve_preset(seed=...): one integer
                 # controls the whole scenario, nested configs included.
-                self.config.seed = seed
-                self.config.diffusion.seed = seed
-                self.config.mcts.seed = seed
+                # A copy, so the caller's config keeps its own seeds.
+                config = dataclasses.replace(
+                    config,
+                    seed=seed,
+                    diffusion=dataclasses.replace(config.diffusion, seed=seed),
+                    mcts=dataclasses.replace(config.mcts, seed=seed),
+                )
+            self.config = config
         else:
             self.config = resolve_preset(preset, seed=seed)
         self.preset = None if config is not None else preset
@@ -174,31 +181,14 @@ class Session:
     ) -> list[int]:
         """Per-item node counts, drawn from each item's rng *first*.
 
-        The draw order is load-bearing: every path (sequential, batch,
-        streaming) must consume each item's generator identically or
-        the bit-identity guarantee between them breaks, so the logic
-        lives in exactly one place.
+        The draw order is load-bearing: Phase 1 consumes each item's
+        generator right after this draw, so changing it changes every
+        output bit.
         """
         nodes = request.nodes
         if isinstance(nodes, tuple):
             return [int(rng.integers(nodes[0], nodes[1] + 1)) for rng in rngs]
         return [int(nodes)] * len(rngs)
-
-    def _prepare_items(self, request: GenerateRequest):
-        """Per-item rngs, node counts, and batched phase-1 samples.
-
-        Node counts come off each item's rng first -- the same order the
-        per-item path used -- then
-        :meth:`repro.api.engine.SynCircuit.presample` runs the reverse
-        diffusion for all items with shared denoiser forwards.  Both the
-        sequential and the parallel generation paths consume the same
-        prepared items, which keeps them trivially bit-identical.
-        """
-        rngs = _item_rngs(request.seed, request.count)
-        sizes = self._draw_sizes(request, rngs)
-        with span("session.presample", count=request.count):
-            samples, per_item = self.engine.presample(sizes, rngs)
-        return rngs, sizes, [(sample, per_item) for sample in samples]
 
     def _generate_item(
         self,
@@ -219,8 +209,6 @@ class Session:
             overrides["tier"] = request.tier
         if overrides:
             # Request-scoped copy: workers share the session config.
-            import dataclasses
-
             mcts_config = dataclasses.replace(self.config.mcts, **overrides)
         with span("session.item", index=index, nodes=num_nodes):
             return self.engine.generate_one(
@@ -231,12 +219,73 @@ class Session:
                 presampled=presampled,
             )
 
-    def _finalize(
+    def _records(
+        self, request: GenerateRequest, chunk: int
+    ) -> Iterator[GenerationRecord]:
+        """The one generation loop: records strictly in index order.
+
+        Node counts come off each item's rng first, then every ``chunk``
+        items share one :meth:`repro.api.engine.SynCircuit.presample`
+        (Phase 1 with shared denoiser forwards).  Grouped forwards only
+        share *compute* -- every item draws from its own generator -- so
+        neither the chunk size nor ``request.workers`` can change an
+        output bit.  With ``workers <= 1`` items run inline, so their
+        spans nest under the caller's; otherwise they fan out over one
+        thread pool.  If item ``k`` fails, every record before ``k`` has
+        been yielded, pending items are cancelled, and
+        :class:`BatchItemError` is raised with index ``k``.
+        """
+        rngs = _item_rngs(request.seed, request.count)
+        sizes = self._draw_sizes(request, rngs)
+        parallel = request.workers > 1
+        with (ThreadPoolExecutor(max_workers=request.workers)
+              if parallel else contextlib.nullcontext()) as pool:
+            for lo in range(0, request.count, chunk):
+                hi = min(lo + chunk, request.count)
+                with span("session.presample", count=hi - lo):
+                    samples, per_item = self.engine.presample(
+                        sizes[lo:hi], rngs[lo:hi]
+                    )
+                calls = [
+                    functools.partial(
+                        self._generate_item, k, rngs[k], request, sizes[k],
+                        (samples[k - lo], per_item),
+                    )
+                    for k in range(lo, hi)
+                ]
+                futures = []
+                if parallel:
+                    # Pool threads do not inherit ContextVars; each item
+                    # runs in a copy of the submitting context so an
+                    # active trace recorder (and sanitizer) follows it.
+                    futures = [
+                        pool.submit(contextvars.copy_context().run, call)
+                        for call in calls
+                    ]
+                    calls = [future.result for future in futures]
+                for k, call in enumerate(calls, lo):
+                    try:
+                        record = call()
+                    except Exception as exc:
+                        for future in futures:
+                            future.cancel()
+                        raise BatchItemError(
+                            k, f"{request.name_prefix}{k}", exc
+                        ) from exc
+                    yield record
+
+    def finish(
         self,
         records: list[GenerationRecord],
         request: GenerateRequest,
         started: float,
     ) -> GenerateResult:
+        """Wrap generated ``records`` as the request's result.
+
+        Attaches the store-cached synthesis summaries when
+        ``request.synth_period`` is set; ``elapsed`` counts from the
+        ``time.perf_counter()`` reading ``started``.
+        """
         synth = None
         if request.synth_period is not None:
             synth = [
@@ -254,138 +303,38 @@ class Session:
     def generate(
         self, request: GenerateRequest | None = None, **kwargs
     ) -> GenerateResult:
-        """Sequential generation (the reference path for determinism)."""
-        request = request or GenerateRequest(**kwargs)
-        started = time.perf_counter()
-        with span("session.generate", count=request.count, seed=request.seed):
-            rngs, sizes, samples = self._prepare_items(request)
-            records = [
-                self._generate_item(k, rngs[k], request, sizes[k], samples[k])
-                for k in range(request.count)
-            ]
-            return self._finalize(records, request, started)
+        """Generate ``request.count`` circuits over ``request.workers``
+        threads.
 
-    @staticmethod
-    def _collect_ordered(
-        futures: list, indices: list[int], request: GenerateRequest
-    ) -> Iterator[GenerationRecord]:
-        """Yield future results in submission (= index) order.
-
-        On a failing item, every not-yet-started sibling is cancelled
-        and the failure is re-raised as :class:`BatchItemError` chaining
-        the worker's exception with the item's batch index -- the map
-        idiom this replaces lost the index and left siblings running.
-        """
-        for position, future in enumerate(futures):
-            try:
-                yield future.result()
-            except Exception as exc:
-                for pending in futures[position + 1:]:
-                    pending.cancel()
-                index = indices[position]
-                raise BatchItemError(
-                    index, f"{request.name_prefix}{index}", exc
-                ) from exc
-
-    def generate_batch(
-        self, request: GenerateRequest | None = None, **kwargs
-    ) -> GenerateResult:
-        """Parallel fan-out over ``request.workers`` threads.
-
-        Per-item seed derivation makes the output bit-identical to
-        :meth:`generate` for the same request; only wall-clock changes.
-        Phase 1 runs up front as one batched diffusion pass (equal-size
-        items share each denoiser forward); the workers then fan out
-        over refinement and optimization.  A failing item cancels the
-        batch's pending work and raises :class:`BatchItemError` with the
-        item's index (the original exception chained as ``__cause__``).
+        Phase 1 runs up front as one batched diffusion pass; refinement
+        and optimization then run per item.  The output is bit-identical
+        for every ``workers`` value; only wall-clock changes.  A failing
+        item cancels the pending items and raises
+        :class:`BatchItemError` with its index (the original exception
+        chained as ``__cause__``).
         """
         request = request or GenerateRequest(**kwargs)
-        if request.workers <= 1:
-            return self.generate(request)
         started = time.perf_counter()
         with span(
-            "session.generate_batch",
+            "session.generate",
             count=request.count, workers=request.workers, seed=request.seed,
         ):
-            rngs, sizes, samples = self._prepare_items(request)
-            with ThreadPoolExecutor(max_workers=request.workers) as pool:
-                # ThreadPoolExecutor threads do not inherit ContextVars;
-                # each item runs in a copy of the submitting context so
-                # an active trace recorder (and sanitizer) follows the
-                # work onto the pool.
-                futures = [
-                    pool.submit(
-                        contextvars.copy_context().run,
-                        self._generate_item,
-                        k, rngs[k], request, sizes[k], samples[k],
-                    )
-                    for k in range(request.count)
-                ]
-                records = list(self._collect_ordered(
-                    futures, list(range(request.count)), request
-                ))
-            return self._finalize(records, request, started)
+            records = list(self._records(request, max(request.count, 1)))
+            return self.finish(records, request, started)
 
     def iter_generate(
         self, request: GenerateRequest | None = None, **kwargs
     ) -> Iterator[GenerationRecord]:
-        """Streaming variant: yield records strictly in index order as
-        they complete, so consumers can pipeline without waiting for the
-        whole batch.  Same determinism guarantee as the batch path.
+        """Streaming variant of :meth:`generate`: yield records in index
+        order as they complete, with the same output and error contract.
 
-        Error contract (mirrors :meth:`generate_batch`): if item ``k``
-        fails, every record before ``k`` has already been yielded in
-        order, pending work is cancelled, and :class:`BatchItemError`
-        is raised with index ``k`` chaining the original exception --
-        the consumer can resubmit exactly the lost tail.
+        Phase 1 is presampled in chunks of ``4 * workers`` items rather
+        than for the whole request up front, which bounds the latency of
+        the first record.  On :class:`BatchItemError` the consumer can
+        resubmit exactly the lost tail.
         """
         request = request or GenerateRequest(**kwargs)
-        # Streaming keeps its first-record-latency contract: phase 1 is
-        # presampled in bounded chunks rather than for the whole batch
-        # up front.  Grouped forwards only share *compute* -- every item
-        # draws from its own generator -- so chunking cannot change any
-        # output bit relative to generate()/generate_batch().
-        rngs = _item_rngs(request.seed, request.count)
-        sizes = self._draw_sizes(request, rngs)
-        chunk = max(request.workers, 1) * 4
-
-        def chunk_items(lo: int):
-            hi = min(lo + chunk, request.count)
-            samples, per_item = self.engine.presample(
-                sizes[lo:hi], rngs[lo:hi]
-            )
-            return [
-                (k, (samples[k - lo], per_item))
-                for k in range(lo, hi)
-            ]
-
-        if request.workers <= 1:
-            for lo in range(0, request.count, chunk):
-                for k, presampled in chunk_items(lo):
-                    try:
-                        yield self._generate_item(
-                            k, rngs[k], request, sizes[k], presampled
-                        )
-                    except Exception as exc:
-                        raise BatchItemError(
-                            k, f"{request.name_prefix}{k}", exc
-                        ) from exc
-            return
-        with ThreadPoolExecutor(max_workers=request.workers) as pool:
-            for lo in range(0, request.count, chunk):
-                items = chunk_items(lo)
-                futures = [
-                    pool.submit(
-                        contextvars.copy_context().run,
-                        self._generate_item,
-                        k, rngs[k], request, sizes[k], presampled,
-                    )
-                    for k, presampled in items
-                ]
-                yield from self._collect_ordered(
-                    futures, [k for k, _ in items], request
-                )
+        return self._records(request, max(request.workers, 1) * 4)
 
     # -- synthesis -------------------------------------------------------
     def _resolve_design(self, design: str | CircuitGraph) -> CircuitGraph:

@@ -23,11 +23,11 @@ deliberately spans the whole stack:
   span sites ride inside every other benchmark already)
 * ``diffusion.sample`` -- Phase 1 reverse denoising
 * ``diffusion.sample_batch`` -- several samples through shared denoiser
-  forwards (the ``generate_batch`` phase-1 path)
+  forwards (the ``Session.generate`` phase-1 path)
 * ``metrics.structural`` -- Table II structural-similarity metrics
 * ``e2e.generate``     -- one full Session.generate (all three phases)
-* ``e2e.generate_batch`` -- a batch-8 mixed-size generation in the
-  ``exact`` tier (the throughput reference workload)
+* ``e2e.generate_batch`` -- a batch-8 mixed-size Session.generate in
+  the ``exact`` tier (the throughput reference workload)
 * ``e2e.generate_fast`` -- the identical workload in the ``fast`` tier;
   its ``speedup_vs_exact`` meta is the fast tier's Phase-3 speedup on it
 """

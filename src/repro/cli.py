@@ -192,7 +192,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
           f"({config.diffusion.epochs} epochs; artifact cache "
           f"{'on' if session.use_cache else 'off'}) ...")
     session.fit()
-    result = session.generate_batch(GenerateRequest(
+    result = session.generate(GenerateRequest(
         count=args.count,
         nodes=args.nodes,
         optimize=not args.no_optimize,

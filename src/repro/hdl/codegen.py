@@ -34,11 +34,6 @@ def signal_name(graph: CircuitGraph, node_id: int) -> str:
     return f"n{node_id}"
 
 
-def _port_name(graph: CircuitGraph, node_id: int) -> str:
-    """Ports keep the user-facing name when available (made unique)."""
-    return signal_name(graph, node_id)
-
-
 def _literal(value: int, width: int) -> str:
     return f"{width}'d{value}"
 

@@ -23,7 +23,7 @@ offending state -- on any divergence.  Activation is opt-in and scoped:
   ``repro generate --sanitize`` audit one search / one request.
 
 Internally the active :class:`Sanitizer` rides a :class:`contextvars`
-context variable, so concurrent ``generate_batch`` workers sanitize
+context variable, so concurrent ``Session.generate`` workers sanitize
 independently and the default-off cost at each checkpoint is one
 context-variable read.
 """

@@ -30,7 +30,7 @@ class SynthesisReward:
     def __init__(self, clock_period: float = 2.0):
         self.clock_period = clock_period
         self.calls = 0
-        # A session's generate_batch shares one reward across worker
+        # A multi-worker Session.generate shares one reward across worker
         # threads; the lock keeps the call counter exact.
         self._lock = threading.Lock()
 

@@ -183,7 +183,7 @@ class TraceRecorder:
 
     ``capacity`` bounds memory: the ring holds the *newest* ``capacity``
     spans and counts everything overwritten on :attr:`dropped`.  Records
-    are appended under a lock -- spans from ``generate_batch`` worker
+    are appended under a lock -- spans from ``Session.generate`` worker
     threads interleave into one buffer -- but the lock is only ever
     taken when tracing is active, so the disabled path pays nothing.
     """

@@ -46,17 +46,12 @@ def worker_main(
     event_q,
 ) -> None:
     """Entry point of one worker process: fit once, then drain jobs."""
-    from ..api import (
-        GenerateRequest,
-        GenerateResult,
-        Session,
-        SynCircuitConfig,
-        SynthRequest,
-    )
+    from ..api import GenerateRequest, Session, SynCircuitConfig
     from ..obs import TraceRecorder, tracing
 
-    config = SynCircuitConfig.from_dict(config_payload)
-    session = Session(config=config, cache_dir=cache_dir)
+    session = Session(
+        config=SynCircuitConfig.from_dict(config_payload), cache_dir=cache_dir
+    )
     session.fit()
     event_q.put(WorkerReady(worker=worker_id).to_dict())
 
@@ -80,20 +75,7 @@ def worker_main(
                         count=request.count,
                         timings=record.timings,
                     ).to_dict())
-                synth = None
-                if request.synth_period is not None:
-                    synth = [
-                        session.synth(SynthRequest(rec.graph,
-                                                   request.synth_period))
-                        for rec in records
-                    ]
-            result = GenerateResult(
-                records=records,
-                request=request,
-                config=config,
-                synth=synth,
-                elapsed=time.perf_counter() - started,
-            )
+                result = session.finish(records, request, started)
             session.store.save_json(task["result_key"], result.to_dict())
             if recorder is not None:
                 # Stored beside -- never inside -- the result artifact:

@@ -90,6 +90,8 @@ class TestPresets:
         assert s.config.seed == 13
         assert s.config.diffusion.seed == 13
         assert s.config.mcts.seed == 13
+        # The seed goes into a copy: the caller's config is untouched.
+        assert config == resolve_preset("smoke")
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +216,7 @@ class TestGeneration:
     def test_batch_matches_sequential_bitwise(self, session):
         req = GenerateRequest(count=3, nodes=(20, 35), optimize=False, seed=6)
         seq = session.generate(req)
-        par = session.generate_batch(GenerateRequest(
+        par = session.generate(GenerateRequest(
             count=3, nodes=(20, 35), optimize=False, seed=6, workers=4,
         ))
         assert [g.to_json() for g in seq.graphs] == \
@@ -223,14 +225,14 @@ class TestGeneration:
     def test_batch_matches_sequential_with_optimize(self, session):
         req = GenerateRequest(count=2, nodes=20, optimize=True, seed=1)
         seq = session.generate(req)
-        par = session.generate_batch(GenerateRequest(
+        par = session.generate(GenerateRequest(
             count=2, nodes=20, optimize=True, seed=1, workers=2,
         ))
         assert [g.to_json() for g in seq.graphs] == \
             [g.to_json() for g in par.graphs]
 
     def test_generated_graphs_are_valid(self, session):
-        result = session.generate_batch(GenerateRequest(
+        result = session.generate(GenerateRequest(
             count=2, nodes=24, optimize=False, seed=3, workers=2,
         ))
         for record in result.records:
@@ -240,7 +242,7 @@ class TestGeneration:
         req = GenerateRequest(count=3, nodes=22, optimize=False, seed=8,
                               workers=3)
         streamed = list(session.iter_generate(req))
-        batch = session.generate_batch(req)
+        batch = session.generate(req)
         assert [r.g_val.to_json() for r in streamed] == \
             [r.g_val.to_json() for r in batch.records]
 

@@ -92,7 +92,7 @@ class TestSpans:
         assert record.attrs == {"reason": "test"}
 
     def test_recorder_propagates_into_copied_context(self):
-        # Session.generate_batch submits pool work through
+        # Session.generate with workers > 1 submits pool work through
         # contextvars.copy_context().run -- this is the contract that
         # makes worker-thread spans land in the caller's recorder.
         recorder = TraceRecorder()
@@ -437,3 +437,14 @@ class TestBitIdentity:
         assert "session.generate" in names
         assert "session.item" in names
         assert "diffusion.sample_batch" in names
+
+        # Streaming presamples in chunks of 4 * workers items: six items
+        # at one worker span two chunks, each under its own span.
+        stream = GenerateRequest(count=6, nodes=30, seed=5, optimize=False)
+        recorder = TraceRecorder()
+        with tracing(recorder):
+            streamed = list(session.iter_generate(stream))
+        assert [r.graph.to_dict() for r in streamed] == \
+            [r.graph.to_dict() for r in session.generate(stream).records]
+        names = [record.name for record in recorder.spans()]
+        assert names.count("session.presample") == 2

@@ -230,12 +230,18 @@ class TestServeEndToEnd:
         with pytest.raises(ServeError, match="400"):
             client.submit({"count": 1, "bogus_field": True})
 
-    def test_unknown_tier_is_400(self, client):
+    @pytest.mark.parametrize("field, value, message", [
+        ("tier", "turbo", "unknown tier"),
+        ("count", -1, "count must be >= 0"),
+        ("seed", -1, "seed must be >= 0"),
+        ("nodes", [40, 20], "nodes range .* is reversed"),
+    ], ids=["tier", "count", "seed", "nodes"])
+    def test_bad_field_value_is_400(self, client, field, value, message):
         # Rejected when the request is built at submit, so no job is
         # queued only to fail later inside a worker.
         jobs_before = len(client.jobs())
-        with pytest.raises(ServeError, match="400.*unknown tier"):
-            client.submit({"count": 1, "tier": "turbo"})
+        with pytest.raises(ServeError, match=f"400.*{message}"):
+            client.submit({"count": 1, field: value})
         assert len(client.jobs()) == jobs_before
 
     def test_worker_failure_is_isolated(self, client):
@@ -759,14 +765,15 @@ class TestBatchItemError:
         assert isinstance(excinfo.value.__cause__, ValueError)
         assert "synthetic failure at 2" in str(excinfo.value.__cause__)
 
-    def test_generate_batch_cancels_pending_siblings(
-        self, batch_session, monkeypatch
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_generate_cancels_pending_siblings(
+        self, batch_session, monkeypatch, workers
     ):
         invoked = set()
         _fail_at(batch_session, 0, monkeypatch, slow=0.2, invoked=invoked)
-        request = GenerateRequest(count=8, nodes=40, seed=62, workers=2)
+        request = GenerateRequest(count=8, nodes=40, seed=62, workers=workers)
         with pytest.raises(BatchItemError) as excinfo:
-            batch_session.generate_batch(request)
+            batch_session.generate(request)
         assert excinfo.value.index == 0
         assert isinstance(excinfo.value.__cause__, ValueError)
         # Item 0 fails immediately; pending futures are cancelled, so
