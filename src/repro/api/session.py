@@ -136,42 +136,46 @@ class Session:
         the PCS discriminator are keyed by their hyper-parameters plus a
         fingerprint of the training set, so a second ``fit`` with an
         identical scenario loads from the artifact store instead of
-        retraining -- even in a fresh process.
+        retraining -- even in a fresh process.  The ``session.fit`` span's
+        ``cached`` attribute says whether the diffusion model was loaded;
+        a cold fit's ``diffusion.train`` child holds nearly all its time.
         """
-        if graphs is None:
-            from ..bench_designs import train_test_split
+        with span("session.fit") as fit_span:
+            if graphs is None:
+                from ..bench_designs import train_test_split
 
-            graphs, _ = train_test_split(seed=2025)
-        fingerprint = graphs_fingerprint(graphs)
-        self._train_fingerprint = fingerprint
+                graphs, _ = train_test_split(seed=2025)
+            fingerprint = graphs_fingerprint(graphs)
+            self._train_fingerprint = fingerprint
 
-        trained = None
-        if self.config.use_diffusion and self.use_cache:
-            diff_key = self.store.key("diffusion", {
-                "config": self.config.diffusion.__dict__,
-                "graphs": fingerprint,
-            })
-            trained = self.store.load_diffusion(diff_key)
+            trained = None
+            if self.config.use_diffusion and self.use_cache:
+                diff_key = self.store.key("diffusion", {
+                    "config": self.config.diffusion.__dict__,
+                    "graphs": fingerprint,
+                })
+                trained = self.store.load_diffusion(diff_key)
 
-        reward_fn = None
-        if self.config.reward == "discriminator" and self.use_cache:
-            disc_key = self.store.key("discriminator", {
-                "clock_period": self.config.mcts.clock_period,
-                "perturbations": self.config.discriminator_perturbations,
-                "seed": self.config.seed,
-                "graphs": fingerprint,
-            })
-            reward_fn = self.store.load_discriminator(disc_key)
+            reward_fn = None
+            if self.config.reward == "discriminator" and self.use_cache:
+                disc_key = self.store.key("discriminator", {
+                    "clock_period": self.config.mcts.clock_period,
+                    "perturbations": self.config.discriminator_perturbations,
+                    "seed": self.config.seed,
+                    "graphs": fingerprint,
+                })
+                reward_fn = self.store.load_discriminator(disc_key)
+            fit_span.add(cached=trained is not None)
 
-        self.engine.fit(
-            graphs, verbose=verbose, trained=trained, reward_fn=reward_fn
-        )
+            self.engine.fit(
+                graphs, verbose=verbose, trained=trained, reward_fn=reward_fn
+            )
 
-        if self.use_cache:
-            if self.config.use_diffusion and trained is None:
-                self.store.save_diffusion(diff_key, self.engine.trained)
-            if self.config.reward == "discriminator" and reward_fn is None:
-                self.store.save_discriminator(disc_key, self.engine._reward_fn)
+            if self.use_cache:
+                if self.config.use_diffusion and trained is None:
+                    self.store.save_diffusion(diff_key, self.engine.trained)
+                if self.config.reward == "discriminator" and reward_fn is None:
+                    self.store.save_discriminator(disc_key, self.engine._reward_fn)
         return self
 
     # -- generation ------------------------------------------------------

@@ -13,13 +13,17 @@ learnable relation embedding r(t):
 which is deliberately asymmetric in (i, j) -- the paper's fix for the
 commutative dot-product/Euclidean decoders of prior work.
 
-Training uses the autograd path over sampled pairs; inference uses a
-vectorised numpy path (`predict_full`, `predict_full_batch`) that scores
-all N^2 pairs without building an autograd tape.  Its decoder walks each
-graph in row blocks sized to a fixed cache budget, so the workspace stays
-bounded whatever N and the batch size are; blocking never changes a GEMM
-slice shape or an element's op order, so the output is bit-identical to
-an unblocked evaluation.
+Training calls :meth:`DenoisingNetwork.loss_and_grads`: the forward over
+sampled pairs, the BCE loss and a hand-written backward in plain numpy,
+with no autograd tape.  It mirrors the tape op for op, so its loss and
+gradients are bit-identical to the :class:`~repro.nn.Tensor` forward
+(:meth:`DenoisingNetwork.forward`), which stays as the reference the
+differential tests compare against.  Inference uses a vectorised numpy
+path (`predict_full`, `predict_full_batch`) that scores all N^2 pairs.
+Its decoder walks each graph in row blocks sized to a fixed cache
+budget, so the workspace stays bounded whatever N and the batch size
+are; blocking never changes a GEMM slice shape or an element's op order,
+so the output is bit-identical to an unblocked evaluation.
 """
 
 from __future__ import annotations
@@ -27,7 +31,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..ir import NUM_TYPES
-from ..nn import MLP, Embedding, Linear, Module, Tensor, sigmoid_np, time_features
+from ..nn import (
+    MLP,
+    Embedding,
+    Linear,
+    Module,
+    Tensor,
+    scatter_rows,
+    sigmoid_np,
+    time_features,
+)
 from .features import NUM_WIDTH_BUCKETS
 
 # Byte budget of one row block of the pair decoder's (rows, N, H) float64
@@ -115,6 +128,103 @@ class DenoisingNetwork(Module):
                 dst: np.ndarray) -> Tensor:
         h = self.encoder(types, widths, a_t, t_frac)
         return self.decoder(h, src, dst, t_frac)
+
+    # ------------------------------------------------------------------
+    # Training step (pure numpy, no tape)
+    # ------------------------------------------------------------------
+    def loss_and_grads(self, types: np.ndarray, widths: np.ndarray,
+                       a_t: np.ndarray, t_frac: float, src: np.ndarray,
+                       dst: np.ndarray, target: np.ndarray) -> float:
+        """Mean BCE of the pair logits against ``target``; sets every
+        parameter's ``.grad`` and returns the loss.
+
+        The same numbers as ``bce_with_logits(self(types, widths, a_t,
+        t_frac, src, dst), target).backward()``, bit for bit, without the
+        tape.  Every step mirrors the tape's op: the same GEMM shapes,
+        each Linear as ``(x @ W) + b``, ReLU as ``x * mask``, the
+        broadcast time/relation-embedding gradients as ``ones.T @ g``
+        GEMMs, the BCE through ``log(max(p + eps, eps))``.  Only the
+        forward adds the time embeddings by broadcasting, not through
+        ``ones @ v``: a one-term product is exact.  No node's gradient
+        sums more than two terms, so the tape's accumulation order cannot
+        differ.
+        """
+        enc, dec = self.encoder, self.decoder
+        types = np.asarray(types, dtype=np.int64)
+        widths = np.asarray(widths, dtype=np.int64)
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        y = np.asarray(target, dtype=np.float64)
+        n, pairs = len(types), len(src)
+        feats = time_features(t_frac, enc.time_dim)
+
+        # Encoder forward, keeping each layer's input, aggregate and mask.
+        t_emb, t_saved = _mlp_forward(enc.time_mlp, feats)
+        h = (enc.type_emb.weight.data[types]
+             + enc.width_emb.weight.data[widths]) + t_emb
+        agg = enc.aggregation_matrix(a_t)
+        layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for w_h, w_m in zip(enc.w_h, enc.w_m):
+            wh, bh = _wb(w_h)
+            wm, bm = _wb(w_m)
+            ah = agg @ h
+            # The tape's pairing; _encode_np sums these in another order.
+            s = (h @ wh + bh) + (ah @ wm + bm)
+            mask = s > 0
+            layers.append((h, ah, mask))
+            h = s * mask
+
+        # Decoder forward over the sampled pairs.
+        r, r_saved = _mlp_forward(dec.relation_mlp, feats)
+        d, d_saved = _mlp_forward(dec.timestep_mlp, feats)
+        hidden = h.shape[1]
+        h_dst = h[dst]
+        u = h[src] + r
+        z = np.empty((pairs, hidden + d.shape[1]))
+        np.multiply(u, h_dst, out=z[:, :hidden])
+        z[:, hidden:] = d
+        out, e_saved = _mlp_forward(dec.edge_mlp, z)
+        logits = out.reshape(pairs)
+
+        # BCE, as bce_with_logits builds it.
+        eps = 1e-12
+        p = sigmoid_np(logits)
+        p_eps = p + eps
+        q_eps = (1.0 + -p) + eps
+        not_y = 1.0 + -y
+        terms = -(y * np.log(np.maximum(p_eps, eps))
+                  + not_y * np.log(np.maximum(q_eps, eps)))
+        inv = 1.0 / float(pairs)
+        loss = float(terms.sum() * inv)
+
+        # Backward.
+        g_terms = -np.full(pairs, inv)
+        g_p = ((g_terms * y) / np.maximum(p_eps, eps)
+               + -((g_terms * not_y) / np.maximum(q_eps, eps)))
+        g_out = (g_p * p * (1.0 - p)).reshape(pairs, 1)
+        g_z = _mlp_backward(dec.edge_mlp, e_saved, g_out)
+        g_u = g_z[:, :hidden] * h_dst
+        g_dst = g_z[:, :hidden] * u
+        ones = np.ones((pairs, 1))
+        _mlp_backward(dec.timestep_mlp, d_saved, ones.T @ g_z[:, hidden:])
+        _mlp_backward(dec.relation_mlp, r_saved, ones.T @ g_u)
+        g_h = scatter_rows(src, g_u, n) + scatter_rows(dst, g_dst, n)
+
+        agg_t = agg.T
+        for w_h, w_m, (h_in, ah, mask) in zip(
+            reversed(enc.w_h), reversed(enc.w_m), reversed(layers)
+        ):
+            g_s = g_h * mask
+            _set_grads(w_h, h_in.T @ g_s, g_s.sum(axis=0))
+            _set_grads(w_m, ah.T @ g_s, g_s.sum(axis=0))
+            g_h = (g_s @ w_h.weight.data.T
+                   + agg_t @ (g_s @ w_m.weight.data.T))
+
+        ones = np.ones((n, 1))
+        _mlp_backward(enc.time_mlp, t_saved, ones.T @ g_h)
+        for emb, index in ((enc.type_emb, types), (enc.width_emb, widths)):
+            emb.weight.grad = scatter_rows(index, g_h, len(emb.weight.data))
+        return loss
 
     # ------------------------------------------------------------------
     # Fast inference path (pure numpy, no tape)
@@ -252,3 +362,44 @@ def _mlp_np(mlp: MLP, x: np.ndarray) -> np.ndarray:
         out = np.maximum(out @ weight + bias, 0.0)
     weight, bias = _wb(mlp.layers[-1])
     return out @ weight + bias
+
+
+def _set_grads(layer: Linear, weight_grad: np.ndarray,
+               bias_grad: np.ndarray) -> None:
+    layer.weight.grad = weight_grad
+    assert layer.bias is not None
+    layer.bias.grad = bias_grad
+
+
+def _mlp_forward(
+    mlp: MLP, x: np.ndarray,
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray | None]]]:
+    """Training forward through an MLP's ReLU stack, as the tape runs it.
+
+    Returns the output and, per layer, its input and the ReLU mask of its
+    output (``None`` for the last layer) for :func:`_mlp_backward`.
+    """
+    saved: list[tuple[np.ndarray, np.ndarray | None]] = []
+    for layer in mlp.layers[:-1]:
+        weight, bias = _wb(layer)
+        pre = x @ weight + bias
+        mask = pre > 0
+        saved.append((x, mask))
+        x = pre * mask
+    weight, bias = _wb(mlp.layers[-1])
+    saved.append((x, None))
+    return x @ weight + bias, saved
+
+
+def _mlp_backward(
+    mlp: MLP, saved: list[tuple[np.ndarray, np.ndarray | None]],
+    grad: np.ndarray,
+) -> np.ndarray:
+    """Set an MLP's parameter gradients from its output gradient; returns
+    the gradient of its input."""
+    for layer, (x, mask) in zip(reversed(mlp.layers), reversed(saved)):
+        if mask is not None:
+            grad = grad * mask
+        _set_grads(layer, x.T @ grad, grad.sum(axis=0))
+        grad = grad @ layer.weight.data.T
+    return grad

@@ -5,6 +5,11 @@ the forward process and trains the network to recover the *clean*
 adjacency with binary cross-entropy on a balanced set of edge slots (all
 positives plus ``neg_ratio`` times as many sampled negatives -- circuit
 graphs are sparse, so full-matrix BCE would drown the positive signal).
+
+A step is one :meth:`DenoisingNetwork.loss_and_grads` call -- forward,
+loss and backward in plain numpy, bit-identical to the autograd tape --
+followed by one flat :class:`~repro.nn.Adam` update.  The whole fit runs
+under one ``diffusion.train`` trace span.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..ir import CircuitGraph
-from ..nn import Adam, bce_with_logits
-from ..obs import get_logger
+from ..nn import Adam
+from ..obs import get_logger, span
 from .features import AttributeSampler, graph_attributes
 from .model import DenoisingNetwork
 from .schedule import NoiseSchedule
@@ -111,6 +116,13 @@ def train_diffusion(
     config = config or DiffusionConfig()
     if not graphs:
         raise ValueError("need at least one training graph")
+    with span("diffusion.train", epochs=config.epochs,
+              steps=config.epochs * len(graphs), graphs=len(graphs)):
+        return _fit(graphs, config, verbose)
+
+
+def _fit(graphs: list[CircuitGraph], config: DiffusionConfig,
+         verbose: bool) -> TrainedDiffusion:
     rng = np.random.default_rng(config.seed)
 
     adjacencies = [g.adjacency() for g in graphs]
@@ -142,11 +154,10 @@ def train_diffusion(
             src, dst, target = _edge_pairs(a0, config.neg_ratio, rng)
 
             optimizer.zero_grad()
-            logits = model(types, widths, a_t, t / config.num_steps, src, dst)
-            loss = bce_with_logits(logits, target)
-            loss.backward()
+            epoch_loss += model.loss_and_grads(
+                types, widths, a_t, t / config.num_steps, src, dst, target
+            )
             optimizer.step()
-            epoch_loss += loss.item()
         losses.append(epoch_loss / len(graphs))
         if epoch % 10 == 0 or epoch == config.epochs - 1:
             logger.log(

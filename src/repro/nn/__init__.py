@@ -9,7 +9,7 @@ from .functional import (
 )
 from .layers import MLP, Embedding, GRUCell, Linear, Module
 from .optim import SGD, Adam
-from .tensor import Tensor, concat_all, parameter
+from .tensor import Tensor, concat_all, parameter, scatter_rows
 
 __all__ = [
     "MLP",
@@ -24,6 +24,7 @@ __all__ = [
     "concat_all",
     "mse",
     "parameter",
+    "scatter_rows",
     "sigmoid_np",
     "softmax_cross_entropy",
     "time_features",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .tensor import Tensor
@@ -41,7 +43,15 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with bias correction."""
+    """Adam (Kingma & Ba, 2015) with bias correction.
+
+    One flat update per step: the parameters' data, ``m`` and ``v`` live
+    in single flat buffers (each parameter's ``.data`` is rebound to a
+    view of its slice, so a parameter belongs to one optimizer) and the
+    gradients are gathered into one buffer.  Every element sees the same
+    operations as a per-parameter update, so the result is bit-identical
+    to it.  A parameter whose ``grad`` is ``None`` is skipped.
+    """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
@@ -50,23 +60,37 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._data = np.concatenate([p.data for p in self.params], axis=None)
+        ends = itertools.accumulate(p.size for p in self.params)
+        self._slices = [slice(end - p.size, end)
+                        for p, end in zip(self.params, ends)]
+        for p, span in zip(self.params, self._slices):
+            p.data = self._data[span].reshape(p.shape)
+        self._m = np.zeros_like(self._data)
+        self._v = np.zeros_like(self._data)
+        self._grad = np.empty_like(self._data)
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
+        grads = [p.grad for p in self.params if p.grad is not None]
+        if len(grads) == len(self.params):
+            np.concatenate(grads, axis=None, out=self._grad)
+            self._update(slice(None), self._grad)
+            return
+        for p, span in zip(self.params, self._slices):
+            if p.grad is not None:
+                self._update(span, p.grad.reshape(-1))
+
+    def _update(self, span: slice, grad: np.ndarray) -> None:
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self._t
         bias2 = 1.0 - b2 ** self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m *= b1
-            m += (1.0 - b1) * grad
-            v *= b2
-            v += (1.0 - b2) * grad * grad
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        data, m, v = self._data[span], self._m[span], self._v[span]
+        if self.weight_decay:
+            grad = grad + self.weight_decay * data
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)

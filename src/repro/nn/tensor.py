@@ -287,9 +287,7 @@ class Tensor:
 
         def backward(out: Tensor) -> None:
             if self.requires_grad:
-                grad = np.zeros_like(self.data)
-                np.add.at(grad, index, out.grad)
-                self._accumulate(grad)
+                self._accumulate(scatter_rows(index, out.grad, len(self.data)))
 
         return Tensor._make(self.data[index], (self,), backward)
 
@@ -347,6 +345,23 @@ def concat_all(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     for t in tensors[1:]:
         out = out.concat(t, axis=axis)
     return out
+
+
+def scatter_rows(index: Array, values: Array, num_rows: int) -> Array:
+    """Row scatter-add: ``out[index[k]] += values[k]`` into ``num_rows`` zero rows.
+
+    The backward of a row gather.  ``np.bincount`` adds each bin's weights
+    in input order starting from 0.0, exactly as ``np.add.at`` does, so
+    the sums are bit-identical to it without its per-element dispatch.
+    ``index`` must be non-negative.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    tail = values.shape[index.ndim:]
+    width = int(np.prod(tail))
+    bins = (index.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    out = np.bincount(bins, weights=values.reshape(-1),
+                      minlength=num_rows * width)
+    return out.reshape((num_rows, *tail))
 
 
 def parameter(shape: tuple[int, ...], rng: np.random.Generator,

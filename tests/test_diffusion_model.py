@@ -1,7 +1,15 @@
 """Tests for the denoising network, training, and sampling."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
+from repro.api.presets import resolve_preset
 
 from repro.bench_designs import load_corpus
 from repro.diffusion import (
@@ -14,8 +22,11 @@ from repro.diffusion import (
     width_bucket,
 )
 from repro.diffusion import model as model_module
-from repro.ir import GraphBuilder, NodeType, type_index
-from repro.nn import sigmoid_np, time_features
+from repro.diffusion.features import NUM_WIDTH_BUCKETS
+from repro.diffusion.schedule import NoiseSchedule
+from repro.diffusion.train import _edge_pairs
+from repro.ir import NUM_TYPES, GraphBuilder, NodeType, type_index
+from repro.nn import Adam, Tensor, bce_with_logits, sigmoid_np, time_features
 
 
 def tiny_graph():
@@ -271,3 +282,115 @@ class TestBatchSampling:
 
         with pytest.raises(ValueError):
             sample_batch(trained, [10, 12], [np.random.default_rng(0)])
+
+
+def _training_inputs():
+    """(name, types, widths, clean adjacency): corpus designs plus a graph
+    with no edges and a 2-node graph."""
+    for g in load_corpus()[:4]:
+        yield (g.name, *graph_attributes(g), g.adjacency())
+    rng = np.random.default_rng(5)
+    yield ("no-edges", rng.integers(0, NUM_TYPES, 9),
+           rng.integers(0, NUM_WIDTH_BUCKETS, 9), np.zeros((9, 9), dtype=bool))
+    yield ("two-nodes", np.array([0, 1]), np.array([2, 0]),
+           np.array([[False, True], [False, False]]))
+
+
+class TestFusedTrainingStep:
+    """``loss_and_grads`` is the tape's loss and backward, bit for bit."""
+
+    @pytest.mark.parametrize("preset", ["smoke", "fast"])
+    def test_loss_and_grads_equal_tape(self, preset):
+        cfg = resolve_preset(preset).diffusion
+        net = DenoisingNetwork(hidden=cfg.hidden, num_layers=cfg.num_layers,
+                               time_dim=cfg.time_dim, seed=3)
+        schedule = NoiseSchedule.cosine(cfg.num_steps, 0.05)
+        rng = np.random.default_rng(0)
+        checked = 0
+        for name, types, widths, a0 in _training_inputs():
+            for t in (1, 5, cfg.num_steps):
+                a_t = schedule.sample_t(a0, t, rng)
+                src, dst, target = _edge_pairs(a0, cfg.neg_ratio, rng)
+                t_frac = t / cfg.num_steps
+
+                net.zero_grad()
+                tape = bce_with_logits(
+                    net(types, widths, a_t, t_frac, src, dst), target
+                )
+                tape.backward()
+                want = [p.grad for p in net.parameters()]
+
+                net.zero_grad()
+                loss = net.loss_and_grads(types, widths, a_t, t_frac,
+                                          src, dst, target)
+                assert loss == tape.item(), (name, t)
+                for k, p in enumerate(net.parameters()):
+                    assert p.grad.shape == p.data.shape
+                    assert np.array_equal(p.grad, want[k]), (name, t, k)
+                checked += 1
+        assert checked == 6 * 3
+
+    def test_adam_flat_step_equals_per_parameter_update(self):
+        """Flat Adam skips the gradless parameter and updates the other
+        exactly as the per-parameter loop did (weight decay included)."""
+        rng = np.random.default_rng(1)
+        live = Tensor(rng.normal(size=(40, 25)), requires_grad=True)
+        idle = Tensor(rng.normal(size=5), requires_grad=True)
+        idle_before = idle.data.copy()
+        opt = Adam([live, idle], lr=0.01, weight_decay=0.1)
+
+        data, m, v = live.data.copy(), np.zeros((40, 25)), np.zeros((40, 25))
+        b1, b2 = 0.9, 0.999
+        for step in range(1, 11):
+            grad = rng.normal(size=(40, 25))
+            opt.zero_grad()
+            live.grad = grad.copy()
+            opt.step()
+            # The per-parameter update the flat one replaced.
+            grad = grad + 0.1 * data
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * grad * grad
+            data -= 0.01 * (m / (1.0 - b1 ** step)) / (
+                np.sqrt(v / (1.0 - b2 ** step)) + 1e-8
+            )
+            assert live.data.tobytes() == data.tobytes()
+        assert idle.data.tobytes() == idle_before.tobytes()
+
+
+#: The fitted ``fast``-preset denoiser on the corpus training split:
+#: sha256 prefixes of its parameter bytes (``parameters()`` order) and of
+#: its per-epoch ``losses``, under single-threaded OpenBLAS.  These were
+#: measured on the autograd-tape training loop; the fused numpy step must
+#: reproduce them exactly.  They move only in a change that sets out to
+#: change the fitted model.
+FIT_PIN = ("8d7f18bde3a90345", "d8328aa86526cd6e")
+
+_FIT_SCRIPT = """
+import hashlib
+import numpy as np
+from repro.api.presets import resolve_preset
+from repro.bench_designs import train_test_split
+from repro.diffusion import train_diffusion
+trained = train_diffusion(train_test_split(seed=2025)[0],
+                          resolve_preset("fast").diffusion)
+params = hashlib.sha256()
+for p in trained.model.parameters():
+    params.update(p.data.tobytes())
+losses = hashlib.sha256(np.asarray(trained.losses).tobytes())
+print(params.hexdigest()[:16], losses.hexdigest()[:16])
+"""
+
+
+def test_fitted_fast_model_pin():
+    """GEMM results depend on the BLAS thread count, so the fit runs in a
+    child process pinned to one thread."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FIT_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert tuple(out.stdout.split()) == FIT_PIN

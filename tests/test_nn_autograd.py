@@ -13,6 +13,7 @@ from repro.nn import (
     Tensor,
     bce_with_logits,
     mse,
+    scatter_rows,
     softmax_cross_entropy,
     time_features,
 )
@@ -128,6 +129,23 @@ class TestMatrixGrads:
         check_gradient(
             lambda x: (x.take_rows(idx) ** 2.0).sum(), RNG.normal(size=(3, 4))
         )
+        # Repeated indices: the bincount scatter sums each row in input
+        # order, exactly as np.add.at does.
+        rng = np.random.default_rng(7)
+        idx = rng.integers(0, 5, size=200)
+        x = Tensor(rng.normal(size=(6, 3)))
+        x.requires_grad = True
+        upstream = rng.normal(size=(200, 3))
+        x.take_rows(idx).backward(upstream)
+        expected = np.zeros((6, 3))
+        np.add.at(expected, idx, upstream)
+        assert x.grad.tobytes() == expected.tobytes()
+        # A 2-d index scatters its (8, 25) gathered rows the same way.
+        index = rng.integers(0, 5, size=(8, 25))
+        values = rng.normal(size=(8, 25, 2))
+        expected = np.zeros((5, 2))
+        np.add.at(expected, index, values)
+        assert scatter_rows(index, values, 5).tobytes() == expected.tobytes()
 
 
 class TestLosses:

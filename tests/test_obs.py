@@ -22,7 +22,7 @@ import pytest
 
 from repro.api import GenerateRequest, Session
 from repro.api.presets import resolve_preset
-from repro.bench_designs import load_corpus, load_design
+from repro.bench_designs import load_corpus, load_design, train_test_split
 from repro.mcts.optimize import optimize_registers
 from repro.obs import (
     MetricsRegistry,
@@ -448,3 +448,36 @@ class TestBitIdentity:
             [r.graph.to_dict() for r in session.generate(stream).records]
         names = [record.name for record in recorder.spans()]
         assert names.count("session.presample") == 2
+
+
+# ---------------------------------------------------------------------------
+# Fit spans: the denoiser's training is the cost of a cold fit
+# ---------------------------------------------------------------------------
+
+
+class TestFitSpans:
+    def test_cold_fit_is_covered_by_training_and_hit_skips_it(self, tmp_path):
+        # Graphs loaded up front and enough epochs that a cold fit is
+        # mostly training, as it is at the fast preset's 120 epochs.
+        graphs = train_test_split(seed=2025)[0]
+        config = resolve_preset("smoke", diffusion={"epochs": 80})
+
+        recorder = TraceRecorder()
+        with tracing(recorder):
+            Session(config=config, cache_dir=tmp_path).fit(graphs)
+        spans = {record.name: record for record in recorder.spans()}
+        fit, train = spans["session.fit"], spans["diffusion.train"]
+        assert fit.attrs == {"cached": False}
+        assert train.attrs == {"epochs": 80, "steps": 80 * len(graphs),
+                               "graphs": len(graphs)}
+        assert fit.start_ns <= train.start_ns
+        assert train.start_ns + train.duration_ns <= \
+            fit.start_ns + fit.duration_ns
+        assert train.duration_ns >= 0.95 * fit.duration_ns
+
+        recorder = TraceRecorder()
+        with tracing(recorder):
+            Session(config=config, cache_dir=tmp_path).fit(graphs)
+        names = [record.name for record in recorder.spans()]
+        assert names == ["session.fit"]
+        assert recorder.spans()[0].attrs == {"cached": True}
