@@ -2,7 +2,10 @@
 
 Everything expensive (model training, synthetic dataset generation) is
 built once per session here and reused by the per-table benchmark files.
-Scales are CPU-friendly; see DESIGN.md section 5 for the scale notes.
+SynCircuit's circuits come from :class:`repro.api.Session`, the same
+generation path a user runs.  Scales are CPU-friendly: the paper trains
+on GPUs over larger designs, while these configs train in seconds on a
+CPU and generate 40-70-node circuits.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.api import SynCircuit, SynCircuitConfig
+from repro.api import GenerateRequest, Session, SynCircuitConfig
 from repro.baselines import (
     DVAEBaseline,
     DVAEConfig,
@@ -27,8 +30,8 @@ from repro.mcts import MCTSConfig
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
-#: Node-count range for generated pseudo-circuits (paper uses larger
-#: designs on GPUs; see DESIGN.md scale notes).
+#: Node-count range for generated pseudo-circuits (the paper uses larger
+#: designs on GPUs).
 SYN_SIZE = (40, 70)
 NUM_PSEUDO = 25          # paper: 25 pseudo-circuits per augmentation set
 CLOCK_PERIOD = 1.0
@@ -38,7 +41,7 @@ LABEL_PERIODS = [0.12, 0.2, 0.35, 0.6]
 
 
 def write_result(name: str, text: str) -> None:
-    """Persist a rendered table/figure so EXPERIMENTS.md can cite it."""
+    """Persist a rendered table/figure under ``results/``."""
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print(f"\n=== {name} ===\n{text}\n")
@@ -89,13 +92,15 @@ def _syncircuit_config(use_diffusion: bool = True) -> SynCircuitConfig:
 @pytest.fixture(scope="session")
 def syncircuit(split):
     train, _ = split
-    return SynCircuit(_syncircuit_config()).fit(train)
+    return Session(config=_syncircuit_config(), use_cache=False).fit(train)
 
 
 @pytest.fixture(scope="session")
 def syncircuit_no_diff(split):
     train, _ = split
-    return SynCircuit(_syncircuit_config(use_diffusion=False)).fit(train)
+    return Session(
+        config=_syncircuit_config(use_diffusion=False), use_cache=False
+    ).fit(train)
 
 
 @pytest.fixture(scope="session")
@@ -134,9 +139,9 @@ def sparse_digress(split):
 @pytest.fixture(scope="session")
 def syncircuit_records(syncircuit):
     """25 generation records: G_val plus MCTS-optimized G_opt each."""
-    return syncircuit.generate(
-        NUM_PSEUDO, SYN_SIZE, optimize=True, seed=11, name_prefix="sc"
-    )
+    return syncircuit.generate(GenerateRequest(
+        count=NUM_PSEUDO, nodes=SYN_SIZE, seed=11, name_prefix="sc",
+    )).records
 
 
 @pytest.fixture(scope="session")

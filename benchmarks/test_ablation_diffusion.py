@@ -1,4 +1,4 @@
-"""Ablations beyond the paper's tables (DESIGN.md A3).
+"""Ablations of the diffusion model beyond the paper's tables.
 
 1. Diffusion step count: 1 vs 3 vs 9 reverse steps (paper default 9).
 2. Decoder asymmetry: the TransE decoder vs a symmetric elementwise

@@ -32,7 +32,7 @@ def test_fig4_scpr_improvement(syncircuit, syncircuit_records, benchmark):
     mcts_wins = 0
     for scpr_before, rec in worst:
         random_rep = random_search_registers(
-            rec.g_val, reward_fn=syncircuit._reward_fn, config=cfg
+            rec.g_val, reward_fn=syncircuit.engine._reward_fn, config=cfg
         )
         scpr_random = synthesize(
             random_rep.graph, clock_period=CLOCK_PERIOD

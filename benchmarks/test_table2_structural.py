@@ -11,6 +11,7 @@ import zlib
 
 import numpy as np
 
+from repro.api import GenerateRequest
 from repro.metrics import structural_similarity
 
 from conftest import write_result
@@ -26,9 +27,24 @@ def _model_seed(model_name: str) -> int:
     return zlib.crc32(model_name.encode()) % 1000
 
 
-def _generate_set(generate, num_nodes: int, seed: int):
-    rng = np.random.default_rng(seed)
-    return [generate(num_nodes, rng) for _ in range(SAMPLES_PER_MODEL)]
+def _baseline_set(model):
+    """``(num_nodes, seed) -> graphs`` for a baseline generator."""
+    def generate(num_nodes: int, seed: int):
+        rng = np.random.default_rng(seed)
+        return [
+            model.generate(num_nodes, rng) for _ in range(SAMPLES_PER_MODEL)
+        ]
+    return generate
+
+
+def _session_set(session):
+    """``(num_nodes, seed) -> graphs``: unoptimized G_val from a Session."""
+    def generate(num_nodes: int, seed: int):
+        return session.generate(GenerateRequest(
+            count=SAMPLES_PER_MODEL, nodes=num_nodes, seed=seed,
+            optimize=False,
+        )).graphs
+    return generate
 
 
 def test_table2_structural_similarity(
@@ -36,16 +52,12 @@ def test_table2_structural_similarity(
     syncircuit, syncircuit_no_diff, benchmark,
 ):
     generators = {
-        "GraphRNN": lambda n, rng: graphrnn.generate(n, rng),
-        "DVAE": lambda n, rng: dvae.generate(n, rng),
-        "GraphMaker-v": lambda n, rng: graphmaker.generate(n, rng),
-        "SparseDigress-v": lambda n, rng: sparse_digress.generate(n, rng),
-        "SynCircuit w/o diff": lambda n, rng: syncircuit_no_diff.generate_one(
-            n, rng, optimize=False
-        ).g_val,
-        "SynCircuit w/ diff": lambda n, rng: syncircuit.generate_one(
-            n, rng, optimize=False
-        ).g_val,
+        "GraphRNN": _baseline_set(graphrnn),
+        "DVAE": _baseline_set(dvae),
+        "GraphMaker-v": _baseline_set(graphmaker),
+        "SparseDigress-v": _baseline_set(sparse_digress),
+        "SynCircuit w/o diff": _session_set(syncircuit_no_diff),
+        "SynCircuit w/ diff": _session_set(syncircuit),
     }
 
     metric_names = ("out_degree", "cluster", "orbit",
@@ -54,8 +66,7 @@ def test_table2_structural_similarity(
     for model_name, generate in generators.items():
         results[model_name] = {}
         for ref_name, ref in references.items():
-            graphs = _generate_set(generate, ref.num_nodes,
-                                   seed=_model_seed(model_name))
+            graphs = generate(ref.num_nodes, _model_seed(model_name))
             report = structural_similarity(ref, graphs)
             results[model_name][ref_name] = report.as_row()
 
@@ -91,10 +102,7 @@ def test_table2_structural_similarity(
 
     # Benchmark the metric computation itself.
     ref = references["core_like"]
-    sample = _generate_set(
-        lambda n, rng: syncircuit.generate_one(n, rng, optimize=False).g_val,
-        ref.num_nodes, seed=0,
-    )
+    sample = _session_set(syncircuit)(ref.num_nodes, 0)
     benchmark.pedantic(
         lambda: structural_similarity(ref, sample), rounds=2, iterations=1
     )

@@ -1,22 +1,24 @@
 """Core SynCircuit engine: P(G) -> G_ini -> G_val -> G_opt.
 
-This module hosts the three-phase generator.  It is deliberately
-session-agnostic: ``SynCircuit`` knows how to train and generate, while
-:mod:`repro.api.session` layers artifact caching, typed requests and
-parallel fan-out on top.
+``SynCircuit`` trains the three phases and runs them; it is
+session-agnostic.  :class:`repro.api.Session` is the one way to generate
+circuits: it derives each item's rng, draws Phase 1 for a chunk of items
+through :meth:`SynCircuit.presample`, runs Phases 2 and 3 per item
+through :meth:`SynCircuit.generate_one`, and adds artifact caching,
+typed requests and parallel fan-out.
 
 ``SynCircuit.fit`` trains the Phase 1 diffusion model (and optionally the
-Phase 3 PCS discriminator) on real circuit graphs; ``generate`` then
-produces any number of new valid synthetic circuits, optionally running
-the MCTS redundancy optimization.  Pre-trained artifacts (from the
-session artifact store) can be injected through ``fit``'s keyword-only
-``trained=`` / ``reward_fn=`` arguments to skip the expensive phases.
+Phase 3 PCS discriminator) on real circuit graphs.  Pre-trained
+artifacts (from the session artifact store) can be injected through
+``fit``'s keyword-only ``trained=`` / ``reward_fn=`` arguments to skip
+the expensive phases.
 
 The ``use_diffusion=False`` switch reproduces the paper's "SynCircuit
-w/o diff" ablation: G_ini and P_E are replaced by random edges at the
-training-set density while the rest of the pipeline is unchanged.
+w/o diff" ablation: :meth:`~SynCircuit.presample` draws G_ini and P_E as
+random edges at the training-set density while the rest of the pipeline
+is unchanged.
 
-Performance notes: Phase 1 supports batched sampling (:meth:`presample`
+Performance notes: Phase 1 is batched (:meth:`~SynCircuit.presample`
 groups equal-size items through shared denoiser forwards, bit-identical
 to per-item draws), and Phase 3's search states are copy-on-write
 :class:`repro.ir.GraphView` overlays over the refined design -- swap
@@ -36,9 +38,9 @@ import numpy as np
 from ..diffusion import (
     AttributeSampler,
     DiffusionConfig,
+    SampleResult,
     TrainedDiffusion,
     sample_batch,
-    sample_initial_graph,
     train_diffusion,
 )
 from ..ir import CircuitGraph
@@ -194,76 +196,66 @@ class SynCircuit:
         self,
         sizes: list[int],
         rngs: list[np.random.Generator],
-    ) -> tuple[list, float]:
-        """Phase 1 for many items at once.
+    ) -> tuple[list[SampleResult], float]:
+        """Phase 1 for many items at once: the only source of G_ini and P_E.
 
-        Returns ``(samples, per_item_seconds)`` where ``samples[k]`` is
-        the :class:`~repro.diffusion.sample.SampleResult` for item ``k``
-        (``None`` for every item in the ``use_diffusion=False``
-        ablation, whose random phase 1 stays inside ``generate_one`` to
-        preserve its rng stream).  Equal-size items share each denoiser
-        forward through :func:`repro.diffusion.sample_batch` and every
-        sample is bit-identical to what ``generate_one`` would have
-        drawn item by item from the same generators.
+        Returns ``(samples, per_item_seconds)``: ``samples[k]`` is item
+        ``k``'s :class:`~repro.diffusion.sample.SampleResult`, drawn
+        from ``rngs[k]`` alone, and ``per_item_seconds`` is the call's
+        wall time split evenly over the items.  The diffusion arm runs
+        :func:`repro.diffusion.sample_batch`, whose equal-size items
+        share each denoiser forward.  The ``use_diffusion=False``
+        ablation draws each item's attributes, then random G_ini edges
+        at the training designs' edge density (size-adaptive, as in
+        the full model), then a uniform-random P_E.  Either way an
+        item's draws do not depend on its batch-mates, so any grouping
+        of items into calls gives the same samples.
         """
         self._check_fitted()
-        if not self.config.use_diffusion or not sizes:
-            return [None] * len(sizes), 0.0
-        assert self.trained is not None
+        if not sizes:
+            return [], 0.0
         started = time.perf_counter()
-        samples = sample_batch(self.trained, sizes, rngs)
-        elapsed = time.perf_counter() - started
-        return samples, elapsed / len(sizes)
+        if self.config.use_diffusion:
+            assert self.trained is not None
+            samples = sample_batch(self.trained, sizes, rngs)
+        else:
+            assert self.attributes is not None
+            samples = []
+            for n, rng in zip(sizes, rngs):
+                types, widths = self.attributes.sample(n, rng)
+                density = np.clip(self._edges_per_node / max(n, 2), 1e-4, 0.5)
+                adjacency = rng.random((n, n)) < density
+                samples.append(SampleResult(
+                    adjacency, rng.random((n, n)), types, widths
+                ))
+        return samples, (time.perf_counter() - started) / len(sizes)
 
     def generate_one(
         self,
-        num_nodes: int,
+        sample: SampleResult,
+        sample_seconds: float,
         rng: np.random.Generator,
         optimize: bool = True,
         name: str = "synthetic",
         mcts_config: MCTSConfig | None = None,
-        presampled: tuple | None = None,
     ) -> GenerationRecord:
-        """Run the three phases for a single circuit.
+        """Phases 2 and 3 for one item whose Phase 1 is ``sample``.
 
-        ``mcts_config`` overrides the engine config's Phase 3 settings
-        for this call only (the session uses it for request-scoped
-        knobs like ``GenerateRequest.incremental`` without mutating the
-        shared config across worker threads).  ``presampled`` is a
-        ``(SampleResult, sample_seconds)`` pair from :meth:`presample`:
-        phase 1 is then skipped here (the batch already consumed this
-        item's rng draws for it) and the shared forward's per-item wall
-        share is recorded as the ``sample`` timing.
+        ``sample`` comes from :meth:`presample`, which already drew it
+        from ``rng``; refinement and the search continue on that same
+        generator.  ``sample_seconds`` is recorded as the ``sample``
+        timing.  ``mcts_config`` overrides the engine config's Phase 3
+        settings for this call only (the session uses it for
+        request-scoped knobs like ``GenerateRequest.incremental``
+        without mutating the shared config across worker threads).
         """
         self._check_fitted()
-        timings: dict[str, float] = {}
+        timings = {"sample": sample_seconds}
         started = time.perf_counter()
-        if presampled is not None and presampled[0] is not None:
-            sample, timings["sample"] = presampled
-            types, widths = sample.types, sample.widths
-            adjacency, probability = sample.adjacency, sample.edge_probability
-        elif self.config.use_diffusion:
-            assert self.trained is not None
-            sample = sample_initial_graph(self.trained, num_nodes, rng=rng)
-            types, widths = sample.types, sample.widths
-            adjacency, probability = sample.adjacency, sample.edge_probability
-        else:
-            # Ablation: random G_ini and uniform-random P_E at the real
-            # designs' edge density (size-adaptive, as in the full model),
-            # then the identical post-processing.
-            assert self.attributes is not None
-            types, widths = self.attributes.sample(num_nodes, rng)
-            density = np.clip(
-                self._edges_per_node / max(num_nodes, 2), 1e-4, 0.5
-            )
-            adjacency = rng.random((num_nodes, num_nodes)) < density
-            probability = rng.random((num_nodes, num_nodes))
-        timings.setdefault("sample", time.perf_counter() - started)
-
-        started = time.perf_counter()
-        with span("engine.refine", nodes=num_nodes):
+        with span("engine.refine", nodes=len(sample.types)):
             g_val = refine_to_valid(
-                types, widths, adjacency, probability,
+                sample.types, sample.widths,
+                sample.adjacency, sample.edge_probability,
                 name=name, rng=rng,
                 degree_guidance=self.config.degree_guidance,
             )
@@ -292,43 +284,10 @@ class SynCircuit:
         return GenerationRecord(
             g_val=g_val,
             g_opt=g_opt,
-            initial_edges=int(np.asarray(adjacency).sum()),
+            initial_edges=int(sample.adjacency.sum()),
             refined_edges=g_val.num_edges,
             timings=timings,
         )
-
-    def generate(
-        self,
-        num_circuits: int,
-        num_nodes: int | tuple[int, int],
-        optimize: bool = True,
-        seed: int | None = None,
-        name_prefix: str = "syn",
-    ) -> list[GenerationRecord]:
-        """Generate a dataset of synthetic circuits.
-
-        ``num_nodes`` is either a fixed size or an inclusive (low, high)
-        range sampled per circuit.
-
-        Note: this legacy path threads ONE rng through all items, so item
-        k depends on items 0..k-1.  The session API's per-item seed
-        derivation (:meth:`repro.api.Session.generate`) is order-free and
-        therefore parallelizable; prefer it for new code.
-        """
-        self._check_fitted()
-        rng = np.random.default_rng(self.config.seed if seed is None else seed)
-        records = []
-        for k in range(num_circuits):
-            if isinstance(num_nodes, tuple):
-                n = int(rng.integers(num_nodes[0], num_nodes[1] + 1))
-            else:
-                n = int(num_nodes)
-            records.append(
-                self.generate_one(
-                    n, rng, optimize=optimize, name=f"{name_prefix}{k}"
-                )
-            )
-        return records
 
     # ------------------------------------------------------------------
     def _check_fitted(self) -> None:

@@ -71,8 +71,8 @@ class GenerateRequest:
     Any other value is rejected at construction.  The field is part of
     the serve layer's dedup ``request_key``, so exact and fast results
     never alias in the artifact store.
-    A negative ``count`` or ``seed`` and a ``nodes`` range with
-    ``low > high`` are rejected at construction too.
+    A negative ``count``, ``seed`` or node count and a ``nodes`` range
+    with ``low > high`` are rejected at construction too.
     """
 
     count: int = 1
@@ -96,6 +96,9 @@ class GenerateRequest:
             raise ValueError(f"count must be >= 0, got {self.count}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        low = self.nodes[0] if isinstance(self.nodes, tuple) else self.nodes
+        if low < 0:
+            raise ValueError(f"nodes must be >= 0, got {self.nodes}")
         if isinstance(self.nodes, tuple) and self.nodes[0] > self.nodes[1]:
             raise ValueError(
                 f"nodes range {self.nodes} is reversed: expected (low, high)"

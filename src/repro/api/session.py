@@ -35,6 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ..diffusion import SampleResult
 from ..ir import CircuitGraph
 from ..obs import span
 from .engine import GenerationRecord, SynCircuit, SynCircuitConfig
@@ -199,8 +200,8 @@ class Session:
         index: int,
         rng: np.random.Generator,
         request: GenerateRequest,
-        num_nodes: int,
-        presampled: tuple | None = None,
+        sample: SampleResult,
+        sample_seconds: float,
     ) -> GenerationRecord:
         mcts_config = None
         overrides = {}
@@ -214,13 +215,12 @@ class Session:
         if overrides:
             # Request-scoped copy: workers share the session config.
             mcts_config = dataclasses.replace(self.config.mcts, **overrides)
-        with span("session.item", index=index, nodes=num_nodes):
+        with span("session.item", index=index, nodes=len(sample.types)):
             return self.engine.generate_one(
-                num_nodes, rng,
+                sample, sample_seconds, rng,
                 optimize=request.optimize,
                 name=f"{request.name_prefix}{index}",
                 mcts_config=mcts_config,
-                presampled=presampled,
             )
 
     def _records(
@@ -252,8 +252,8 @@ class Session:
                     )
                 calls = [
                     functools.partial(
-                        self._generate_item, k, rngs[k], request, sizes[k],
-                        (samples[k - lo], per_item),
+                        self._generate_item, k, rngs[k], request,
+                        samples[k - lo], per_item,
                     )
                     for k in range(lo, hi)
                 ]

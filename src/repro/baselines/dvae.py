@@ -5,7 +5,7 @@ DAG-ified circuit in topological order into a latent code z; a GRU
 decoder conditioned on z regenerates the window connection probabilities
 autoregressively.  (The original D-VAE uses asynchronous message passing
 for encoding; the topological GRU here is the sequence approximation of
-that scheme -- recorded as a simplification in DESIGN.md.)
+that scheme, a simplification of the published model.)
 
 Like GraphRNN, the adaptation can only produce DAGs; generated circuits
 lack register feedback, the deficiency the paper measures in Figure 5.

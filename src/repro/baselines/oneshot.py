@@ -9,8 +9,8 @@ GraphMaker-v here is a degree-corrected, type-conditioned edge model
 ``p_uv ~ d_u d_v theta[type_u, type_v] / 2E`` with degrees sampled from
 the per-type empirical degree distribution.  SparseDigress-v shares the
 probability model but samples a *fixed edge budget* without replacement,
-mirroring the sparsity-preserving training of SparseDiGress.  Both
-simplifications are recorded in DESIGN.md.
+mirroring the sparsity-preserving training of SparseDiGress.  Both are
+simplifications of the published models.
 """
 
 from __future__ import annotations

@@ -53,20 +53,33 @@ class AttributeSampler:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw (types, widths) for ``num_nodes`` nodes.
 
-        Guarantees at least one input, one output and one register so that
-        the post-processed circuit is a meaningful sequential design.
+        Guarantees at least one input, output, register and constant,
+        so that the post-processed circuit is a meaningful sequential
+        design; fewer than four nodes cannot hold them and raise
+        ``ValueError``.  A draw is first fixed up by overwriting random
+        slots with the missing types.  That can overwrite the only
+        instance of a type that was present, so a draw still missing a
+        type afterwards is repaired once more from the slots whose type
+        is not a sole required instance.  Draws the first fix-up
+        completes never reach the repair, so its extra rng draws move
+        only those that would otherwise break the guarantee.
         """
         from ..ir import NodeType, type_index
 
-        idx = rng.integers(0, len(self._pairs), size=num_nodes)
-        types = self._pairs[idx, 0].copy()
-        widths = self._pairs[idx, 1].copy()
         required = [
             type_index(NodeType.IN),
             type_index(NodeType.OUT),
             type_index(NodeType.REG),
             type_index(NodeType.CONST),
         ]
+        if num_nodes < len(required):
+            raise ValueError(
+                f"num_nodes must be >= {len(required)} to hold an input, "
+                f"output, register and constant; got {num_nodes}"
+            )
+        idx = rng.integers(0, len(self._pairs), size=num_nodes)
+        types = self._pairs[idx, 0].copy()
+        widths = self._pairs[idx, 1].copy()
         taken: set[int] = set()
         for needed in required:
             if not np.any(types == needed):
@@ -76,4 +89,12 @@ class AttributeSampler:
                     slot = int(rng.integers(0, num_nodes))
                 types[slot] = needed
                 taken.add(slot)
+        for needed in required:
+            if not np.any(types == needed):
+                sole = [
+                    int(np.flatnonzero(types == kind)[0]) for kind in required
+                    if np.count_nonzero(types == kind) == 1
+                ]
+                free = np.setdiff1d(np.arange(num_nodes), sole)
+                types[int(rng.choice(free))] = needed
         return types, widths

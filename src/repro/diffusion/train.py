@@ -35,7 +35,7 @@ class DiffusionConfig:
 
     The paper uses 9 diffusion steps, a 5-layer MPNN and hidden size 256
     on 8 GPUs; hidden defaults to 64 here so the full experiment suite
-    runs on CPU (see DESIGN.md scale notes).
+    runs on CPU.
     """
 
     num_steps: int = 9

@@ -10,8 +10,8 @@ closed-form combinatorics instead:
 2. induced P3 centre           5. 4-cycles through the node
 
 These span the degree-, wedge-, triangle- and cycle-sensitivity of the
-full 15-orbit ORCA profile at a fraction of the cost; the substitution is
-recorded in DESIGN.md.
+full 15-orbit ORCA profile at a fraction of the cost; Table II's orbit
+column uses these, not ORCA's full profile.
 """
 
 from __future__ import annotations

@@ -339,3 +339,99 @@ def tier_differential_session():
     session = Session(config=config, use_cache=False)
     session.engine.fit(graphs, trained=trained)
     return session
+
+
+# ---------------------------------------------------------------------------
+# Generated-population differential: Phase 3 on the circuits users get.
+
+
+def population_sessions(preset, graphs, **mcts):
+    """``(session, reference)``: one fitted model, two Phase-3 paths.
+
+    ``session`` is the ``preset`` at seed 0 with ``mcts`` overrides,
+    fitted on ``graphs`` without artifact caching; ``reference`` shares
+    its trained diffusion model and reward but runs the ``delta=False``
+    reference path.
+    """
+    import dataclasses
+
+    from repro.api import Session
+    from repro.api.presets import resolve_preset
+
+    config = resolve_preset(preset, seed=0, mcts=mcts or None)
+    session = Session(config=config, use_cache=False).fit(graphs)
+    reference = Session(
+        config=dataclasses.replace(
+            config, mcts=dataclasses.replace(config.mcts, delta=False)
+        ),
+        use_cache=False,
+    )
+    reference.engine.fit(
+        graphs, trained=session.engine.trained,
+        reward_fn=session.engine._reward_fn,
+    )
+    return session, reference
+
+
+def population_differential(session, reference, requests):
+    """Run ``requests`` sanitized, unsanitized and on ``reference``.
+
+    Asserts equal graphs and equal SCPR across the three sides for the
+    MCTS arm (through ``Session.generate``) and for the random arm
+    (``random_search_registers`` on each unoptimized ``g_val``, at the
+    request's tier).  A sanitized run raises on any S001-S007
+    violation, so completing is the zero-violation check.  Returns the
+    number of generated circuits compared.
+    """
+    import dataclasses
+
+    from repro.mcts import random_search_registers
+    from repro.synth import synthesize
+
+    period = session.config.mcts.clock_period
+    checked = 0
+    for request in requests:
+        sides = [
+            session.generate(dataclasses.replace(request, sanitize=True)),
+            session.generate(request),
+            reference.generate(request),
+        ]
+        graphs = [[graph.to_dict() for graph in side.graphs] for side in sides]
+        assert graphs[0] == graphs[1] == graphs[2], (
+            f"MCTS arm diverged on {request}"
+        )
+        scprs = [
+            [synthesize(graph, clock_period=period).scpr
+             for graph in side.graphs]
+            for side in sides
+        ]
+        assert scprs[0] == scprs[1] == scprs[2]
+
+        base = dataclasses.replace(
+            session.config.mcts, tier=request.tier or session.config.mcts.tier
+        )
+        configs = [
+            dataclasses.replace(base, sanitize=True),
+            base,
+            dataclasses.replace(base, delta=False),
+        ]
+        for record in sides[1].records:
+            reports = [
+                random_search_registers(
+                    record.g_val, reward_fn=session.engine._reward_fn,
+                    config=config,
+                )
+                for config in configs
+            ]
+            assert reports[0].sanitize_checks > 0
+            graphs = [report.graph.to_dict() for report in reports]
+            assert graphs[0] == graphs[1] == graphs[2], (
+                f"random arm diverged on {record.g_val.name}"
+            )
+            scprs = [
+                synthesize(report.graph, clock_period=period).scpr
+                for report in reports
+            ]
+            assert scprs[0] == scprs[1] == scprs[2]
+        checked += len(sides[1].graphs)
+    return checked

@@ -269,6 +269,53 @@ class TestGeneration:
         assert report.w1_out_degree >= 0.0
 
 
+#: ``use_diffusion=False`` digests of ``Session.generate`` on the smoke
+#: preset fitted on the default training split, keyed by (optimize,
+#: request seed).  They were measured while the ablation's random
+#: Phase 1 was still drawn inside ``SynCircuit.generate_one``; drawing
+#: it in ``SynCircuit.presample`` from the same per-item rng, in the
+#: same order, must not move a bit.
+ABLATION_REQUESTS = {3: dict(count=3, nodes=(48, 96)),
+                     4: dict(count=2, nodes=(96, 160))}
+ABLATION_PINS = {
+    (False, 3): "863015c8d80a0578",
+    (False, 4): "ecd6effec89e10c4",
+    (True, 3): "686613c91f5d98d0",
+    (True, 4): "5598abf9986212af",
+}
+
+
+def _digest(graphs) -> str:
+    import hashlib
+
+    hasher = hashlib.sha256()
+    for graph in graphs:
+        hasher.update(json.dumps(graph.to_dict(), sort_keys=True).encode())
+    return hasher.hexdigest()[:16]
+
+
+class TestAblationArm:
+    @pytest.fixture(scope="class")
+    def no_diff(self):
+        return Session(
+            config=resolve_preset("smoke", use_diffusion=False),
+            use_cache=False,
+        ).fit()
+
+    @pytest.mark.parametrize("optimize, seed", sorted(ABLATION_PINS))
+    def test_presampled_ablation_matches_pins(self, no_diff, optimize, seed):
+        result = no_diff.generate(GenerateRequest(
+            seed=seed, optimize=optimize, **ABLATION_REQUESTS[seed],
+        ))
+        assert min(g.num_nodes for g in result.graphs) >= 48
+        assert _digest(result.graphs) == ABLATION_PINS[optimize, seed]
+
+    def test_ablation_workers_match_sequential(self, no_diff):
+        request = GenerateRequest(seed=3, workers=2, **ABLATION_REQUESTS[3])
+        assert _digest(no_diff.generate(request).graphs) == \
+            ABLATION_PINS[True, 3]
+
+
 # ---------------------------------------------------------------------------
 class TestCompat:
     def test_top_level_lazy_exports(self):

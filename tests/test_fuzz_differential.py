@@ -17,6 +17,11 @@ The ``fuzz_smoke`` tier drives 200+ random edit chains at smoke scale
 (8 corpus designs x 26 seeds) and 200+ at paper scale (3 fixtures of
 260--540 nodes x 70 seeds) on every tier-1 run; ``--fuzz-rounds N``
 scales the opt-in deep tier on top.
+
+The chains above walk corpus and hand-built designs.  The
+generated-population differential runs Phase 3 on what users get --
+diffusion-sampled, refined circuits from ``Session.generate`` -- and
+requires sanitized, unsanitized and ``delta=False`` runs to agree.
 """
 
 import dataclasses
@@ -25,6 +30,8 @@ import numpy as np
 import pytest
 from fuzz_harness import (
     PAPER_SCALE,
+    population_differential,
+    population_sessions,
     random_graph,
     swap_chain,
     tier_batch_compositions,
@@ -32,7 +39,8 @@ from fuzz_harness import (
     touched_since,
 )
 
-from repro.bench_designs import load_design
+from repro.api import GenerateRequest
+from repro.bench_designs import load_design, train_test_split
 from repro.incr import DeltaOracle, IncrementalReward
 from repro.incr.analysis import RedundancyAnalyzer
 from repro.mcts import MCTSConfig, optimize_registers
@@ -333,6 +341,42 @@ class TestDeepFuzz:
         # Across the sweep the delta path itself must get real coverage
         # (lean profiles have an empty folded-register guard).
         assert delta_hits > 0
+
+
+# ---------------------------------------------------------------------------
+class TestGeneratedPopulationDifferential:
+    """Sanitized, unsanitized and ``delta=False`` Phase 3 agree on
+    generated circuits of 48+ nodes, in both tiers and both search arms
+    (see :func:`fuzz_harness.population_differential`)."""
+
+    @pytest.mark.fuzz_smoke
+    def test_smoke_population(self):
+        session, reference = population_sessions(
+            "smoke", train_test_split(seed=2025)[0]
+        )
+        requests = [
+            GenerateRequest(count=4, nodes=(48, 160), seed=seed, tier=tier)
+            for seed, tier in ((1, "exact"), (2, "fast"))
+        ]
+        assert population_differential(session, reference, requests) == 8
+
+    @pytest.mark.fuzz_deep
+    def test_deep_population(self, fuzz_rounds):
+        """``fast``-preset model at the 12/4/4 search budget: 40
+        circuits of 48-384 nodes per round, half in each tier."""
+        session, reference = population_sessions(
+            "fast", train_test_split(seed=2025)[0],
+            num_simulations=12, max_depth=4, branching=4,
+        )
+        requests = [
+            GenerateRequest(
+                count=20, nodes=(48, 384), seed=1000 + round_, tier=tier,
+            )
+            for round_ in range(fuzz_rounds)
+            for tier in ("exact", "fast")
+        ]
+        assert population_differential(session, reference, requests) == \
+            40 * fuzz_rounds
 
 
 # ---------------------------------------------------------------------------

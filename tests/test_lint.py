@@ -561,7 +561,7 @@ class TestLintWiring:
         )
 
     def test_engine_lint_gate_passes_valid_output(self):
-        from repro.api import SynCircuitConfig, SynCircuit
+        from repro.api import GenerateRequest, Session, SynCircuitConfig
         from repro.bench_designs import load_corpus
         from repro.mcts import MCTSConfig
 
@@ -571,13 +571,11 @@ class TestLintWiring:
             lint_generated=True,
             mcts=MCTSConfig(num_simulations=5, max_depth=3, branching=2),
         )
-        engine = SynCircuit(config)
-        engine.fit(sorted(load_corpus(), key=lambda g: g.num_nodes)[:3])
-        import numpy as np
-
-        record = engine.generate_one(
-            24, np.random.default_rng(0), optimize=False
-        )
+        session = Session(config=config, use_cache=False)
+        session.fit(sorted(load_corpus(), key=lambda g: g.num_nodes)[:3])
+        record = session.generate(GenerateRequest(
+            count=1, nodes=24, optimize=False,
+        )).records[0]
         assert record.graph.num_nodes == 24
 
 

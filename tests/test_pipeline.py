@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import SynCircuit, SynCircuitConfig
+from repro.api import GenerateRequest, Session, SynCircuit, SynCircuitConfig
 from repro.bench_designs import load_corpus
 from repro.diffusion import DiffusionConfig
 from repro.hdl import generate_verilog, parse_verilog
@@ -21,9 +21,19 @@ def _fast_config(**overrides) -> SynCircuitConfig:
     return cfg
 
 
+def _session(config: SynCircuitConfig) -> Session:
+    return Session(config=config, use_cache=False)
+
+
+def _records(session, count, nodes, *, optimize, seed):
+    return session.generate(GenerateRequest(
+        count=count, nodes=nodes, optimize=optimize, seed=seed,
+    )).records
+
+
 @pytest.fixture(scope="module")
 def fitted():
-    return SynCircuit(_fast_config()).fit(load_corpus()[:6])
+    return _session(_fast_config()).fit(load_corpus()[:6])
 
 
 class TestFit:
@@ -33,7 +43,7 @@ class TestFit:
 
     def test_generate_requires_fit(self):
         with pytest.raises(RuntimeError):
-            SynCircuit(_fast_config()).generate(1, 20)
+            _records(_session(_fast_config()), 1, 20, optimize=True, seed=0)
 
     def test_fit_then_generate_returns_api_records(self):
         from repro.api import GenerationRecord
@@ -42,8 +52,8 @@ class TestFit:
             diffusion=DiffusionConfig(epochs=4, hidden=12, num_layers=2),
             mcts=MCTSConfig(num_simulations=5, max_depth=3, branching=3),
         )
-        engine = SynCircuit(config).fit(load_corpus()[:3])
-        record = engine.generate(1, 24, optimize=False, seed=0)[0]
+        session = _session(config).fit(load_corpus()[:3])
+        record = _records(session, 1, 24, optimize=False, seed=0)[0]
         assert isinstance(record, GenerationRecord)
         assert validate(record.g_val).ok
         assert record.graph is record.g_val
@@ -51,7 +61,7 @@ class TestFit:
 
 class TestGenerate:
     def test_records_have_valid_graphs(self, fitted):
-        records = fitted.generate(2, 30, optimize=False, seed=1)
+        records = _records(fitted, 2, 30, optimize=False, seed=1)
         assert len(records) == 2
         for rec in records:
             assert validate(rec.g_val).ok
@@ -59,52 +69,52 @@ class TestGenerate:
             assert rec.graph is rec.g_val
 
     def test_optimized_records(self, fitted):
-        records = fitted.generate(1, 30, optimize=True, seed=2)
+        records = _records(fitted, 1, 30, optimize=True, seed=2)
         rec = records[0]
         assert rec.g_opt is not None
         assert validate(rec.g_opt).ok
         assert rec.graph is rec.g_opt
 
     def test_node_count_range(self, fitted):
-        records = fitted.generate(3, (20, 40), optimize=False, seed=3)
+        records = _records(fitted, 3, (20, 40), optimize=False, seed=3)
         for rec in records:
             assert 20 <= rec.g_val.num_nodes <= 40
 
     def test_generated_circuits_synthesize(self, fitted):
-        records = fitted.generate(2, 30, optimize=False, seed=4)
+        records = _records(fitted, 2, 30, optimize=False, seed=4)
         for rec in records:
             result = synthesize(rec.g_val, clock_period=2.0)
             assert result.num_cells >= 0
 
     def test_generated_circuits_roundtrip_hdl(self, fitted):
-        records = fitted.generate(1, 25, optimize=False, seed=5)
+        records = _records(fitted, 1, 25, optimize=False, seed=5)
         g = records[0].g_val
         parsed = parse_verilog(generate_verilog(g))
         assert validate(parsed).ok
         assert parsed.num_nodes == g.num_nodes
 
     def test_deterministic_under_seed(self, fitted):
-        r1 = fitted.generate(1, 25, optimize=False, seed=7)
-        r2 = fitted.generate(1, 25, optimize=False, seed=7)
+        r1 = _records(fitted, 1, 25, optimize=False, seed=7)
+        r2 = _records(fitted, 1, 25, optimize=False, seed=7)
         assert list(r1[0].g_val.edges()) == list(r2[0].g_val.edges())
 
 
 class TestAblation:
     def test_without_diffusion(self):
         cfg = _fast_config(use_diffusion=False)
-        pipe = SynCircuit(cfg).fit(load_corpus()[:4])
-        assert pipe.trained is None
-        records = pipe.generate(1, 25, optimize=False, seed=0)
+        session = _session(cfg).fit(load_corpus()[:4])
+        assert session.engine.trained is None
+        records = _records(session, 1, 25, optimize=False, seed=0)
         assert validate(records[0].g_val).ok
 
     def test_synthesis_reward_mode(self):
         cfg = _fast_config(reward="synthesis")
-        pipe = SynCircuit(cfg).fit(load_corpus()[:4])
-        records = pipe.generate(1, 20, optimize=True, seed=0)
+        session = _session(cfg).fit(load_corpus()[:4])
+        records = _records(session, 1, 20, optimize=True, seed=0)
         assert validate(records[0].graph).ok
 
     def test_optimization_improves_or_keeps_pcs(self, fitted):
-        records = fitted.generate(2, 30, optimize=True, seed=8)
+        records = _records(fitted, 2, 30, optimize=True, seed=8)
         for rec in records:
             before = synthesize(rec.g_val, clock_period=2.0).pcs
             after = synthesize(rec.g_opt, clock_period=2.0).pcs

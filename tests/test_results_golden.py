@@ -26,7 +26,6 @@ import os
 import pathlib
 import re
 
-import numpy as np
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -68,20 +67,22 @@ def smoke_split():
     return train_test_split(seed=2025)
 
 
+def _smoke_session(split, **overrides):
+    from repro.api import Session, resolve_preset
+
+    return Session(
+        config=resolve_preset("smoke", **overrides), use_cache=False
+    ).fit(split[0])
+
+
 @pytest.fixture(scope="module")
-def smoke_engine(smoke_split):
-    from repro.api import SynCircuit, resolve_preset
-
-    return SynCircuit(resolve_preset("smoke")).fit(smoke_split[0])
+def smoke_session(smoke_split):
+    return _smoke_session(smoke_split)
 
 
 @pytest.fixture(scope="module")
-def smoke_engine_no_diff(smoke_split):
-    from repro.api import SynCircuit, resolve_preset
-
-    config = resolve_preset("smoke")
-    config.use_diffusion = False
-    return SynCircuit(config).fit(smoke_split[0])
+def smoke_session_no_diff(smoke_split):
+    return _smoke_session(smoke_split, use_diffusion=False)
 
 
 # ---------------------------------------------------------------------------
@@ -134,29 +135,26 @@ def build_fig5_real(request) -> str:
 
 
 def build_table2_smoke(request) -> str:
+    from repro.api import GenerateRequest
     from repro.bench_designs import reference_designs
     from repro.metrics import structural_similarity
 
-    engine = request.getfixturevalue("smoke_engine")
-    engine_no_diff = request.getfixturevalue("smoke_engine_no_diff")
     generators = {
-        "SynCircuit w/o diff": engine_no_diff,
-        "SynCircuit w/ diff": engine,
+        "SynCircuit w/o diff": request.getfixturevalue(
+            "smoke_session_no_diff"
+        ),
+        "SynCircuit w/ diff": request.getfixturevalue("smoke_session"),
     }
     references = reference_designs()
     metric_names = ("out_degree", "cluster", "orbit",
                     "triangle", "h(A,Y)", "h(A2,Y)")
     results = {}
-    for model_name, model in generators.items():
+    for model_name, session in generators.items():
         results[model_name] = {}
         for ref_name, reference in references.items():
-            rng = np.random.default_rng(17)
-            graphs = [
-                model.generate_one(
-                    reference.num_nodes, rng, optimize=False
-                ).g_val
-                for _ in range(2)
-            ]
+            graphs = session.generate(GenerateRequest(
+                count=2, nodes=reference.num_nodes, seed=17, optimize=False,
+            )).graphs
             results[model_name][ref_name] = structural_similarity(
                 reference, graphs
             ).as_row()
@@ -177,12 +175,14 @@ def build_table2_smoke(request) -> str:
 
 
 def build_fig4a_smoke(request) -> str:
+    from repro.api import GenerateRequest
     from repro.mcts import random_search_registers
     from repro.synth import synthesize
 
-    engine = request.getfixturevalue("smoke_engine")
-    records = engine.generate(2, (40, 50), optimize=True, seed=11,
-                              name_prefix="sc")
+    session = request.getfixturevalue("smoke_session")
+    records = session.generate(GenerateRequest(
+        count=2, nodes=(40, 50), seed=11, name_prefix="sc",
+    )).records
     lines = [
         f"{'design':<10s}{'scpr_no_opt':>14s}{'scpr_random':>14s}"
         f"{'scpr_mcts':>14s}"
@@ -190,8 +190,8 @@ def build_fig4a_smoke(request) -> str:
     for record in records:
         scpr_before = synthesize(record.g_val, clock_period=CLOCK_PERIOD).scpr
         random_report = random_search_registers(
-            record.g_val, reward_fn=engine._reward_fn,
-            config=engine.config.mcts,
+            record.g_val, reward_fn=session.engine._reward_fn,
+            config=session.config.mcts,
         )
         scpr_random = synthesize(
             random_report.graph, clock_period=CLOCK_PERIOD

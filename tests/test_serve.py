@@ -235,7 +235,8 @@ class TestServeEndToEnd:
         ("count", -1, "count must be >= 0"),
         ("seed", -1, "seed must be >= 0"),
         ("nodes", [40, 20], "nodes range .* is reversed"),
-    ], ids=["tier", "count", "seed", "nodes"])
+        ("nodes", -1, "nodes must be >= 0"),
+    ], ids=["tier", "count", "seed", "nodes", "negative_nodes"])
     def test_bad_field_value_is_400(self, client, field, value, message):
         # Rejected when the request is built at submit, so no job is
         # queued only to fail later inside a worker.
@@ -736,14 +737,14 @@ def batch_session(tmp_path_factory):
 def _fail_at(session, failing_index, monkeypatch, slow=0.0, invoked=None):
     original = session._generate_item
 
-    def instrumented(index, rng, request, num_nodes, presampled=None):
+    def instrumented(index, *args):
         if invoked is not None:
             invoked.add(index)
         if index == failing_index:
             raise ValueError(f"synthetic failure at {index}")
         if slow:
             time.sleep(slow)
-        return original(index, rng, request, num_nodes, presampled)
+        return original(index, *args)
 
     monkeypatch.setattr(session, "_generate_item", instrumented)
 
