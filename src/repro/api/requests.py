@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..diffusion.features import MIN_NODES
 from ..ir import CircuitGraph
 from ..mcts.optimize import EXACT_TIER, FAST_TIER
 from .engine import GenerationRecord, SynCircuitConfig
@@ -71,8 +72,10 @@ class GenerateRequest:
     Any other value is rejected at construction.  The field is part of
     the serve layer's dedup ``request_key``, so exact and fast results
     never alias in the artifact store.
-    A negative ``count``, ``seed`` or node count and a ``nodes`` range
-    with ``low > high`` are rejected at construction too.
+    A negative ``count`` or ``seed``, a node count (or range low end)
+    under :data:`~repro.diffusion.features.MIN_NODES`, which no sample
+    can hold, and a ``nodes`` range with ``low > high`` are rejected at
+    construction too.
     """
 
     count: int = 1
@@ -97,8 +100,11 @@ class GenerateRequest:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         low = self.nodes[0] if isinstance(self.nodes, tuple) else self.nodes
-        if low < 0:
-            raise ValueError(f"nodes must be >= 0, got {self.nodes}")
+        if low < MIN_NODES:
+            raise ValueError(
+                f"nodes must be >= {MIN_NODES} to hold an input, output, "
+                f"register and constant; got {self.nodes}"
+            )
         if isinstance(self.nodes, tuple) and self.nodes[0] > self.nodes[1]:
             raise ValueError(
                 f"nodes range {self.nodes} is reversed: expected (low, high)"

@@ -24,6 +24,9 @@ deliberately spans the whole stack:
 * ``diffusion.sample`` -- Phase 1 reverse denoising
 * ``diffusion.sample_batch`` -- several samples through shared denoiser
   forwards (the ``Session.generate`` phase-1 path)
+* ``diffusion.forward_n256`` -- one batched denoiser forward over two
+  256-node graphs at the ``fast`` preset's width, where the pair
+  decoder's row blocking and float32 precision carry Phase 1's cost
 * ``metrics.structural`` -- Table II structural-similarity metrics
 * ``e2e.generate``     -- one full Session.generate (all three phases)
 * ``e2e.generate_batch`` -- a batch-8 mixed-size Session.generate in
@@ -308,6 +311,28 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
         sample_batch(trained, [48, 48, 48, 48], rngs)
         return 4
 
+    # The smoke denoiser's hidden 16 hides the decoder's cost, so this
+    # kernel takes the ``fast`` preset's widths.  Weights do not change
+    # the cost, so the network is left untrained.
+    def forward_setup():
+        from ..api.presets import resolve_preset
+        from ..diffusion import DenoisingNetwork
+        from ..diffusion.features import NUM_WIDTH_BUCKETS
+        from ..ir import NUM_TYPES
+
+        dims = resolve_preset("fast").diffusion
+        net = DenoisingNetwork(hidden=dims.hidden, num_layers=dims.num_layers,
+                               time_dim=dims.time_dim, seed=seed)
+        rng = np.random.default_rng(seed)
+        types = rng.integers(0, NUM_TYPES, (2, 256))
+        buckets = rng.integers(0, NUM_WIDTH_BUCKETS, (2, 256))
+        return net, types, buckets, rng.random((2, 256, 256)) < 0.02
+
+    def forward_run(state):
+        net, types, buckets, a_t = state
+        net.predict_full_batch(types, buckets, a_t, 0.5)
+        return 2
+
     # -- structural metrics ---------------------------------------------
     def metrics_setup():
         reference = reference_designs()["core_like"]
@@ -408,6 +433,12 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
                       meta={"nodes": 48, "batch": 4,
                             "epochs": config.diffusion.epochs,
                             "note": "shared denoiser forwards"}),
+        )
+        benchmarks.insert(
+            10,
+            Benchmark("diffusion.forward_n256", forward_setup, forward_run,
+                      meta={"nodes": 256, "batch": 2, "widths": "fast",
+                            "note": "paper-scale pair decoder"}),
         )
     return benchmarks
 

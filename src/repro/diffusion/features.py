@@ -14,6 +14,10 @@ from ..ir import CircuitGraph
 #: Number of log2 width buckets (1, 2, 3-4, 5-8, ..., >128).
 NUM_WIDTH_BUCKETS = 8
 
+#: Fewest nodes a sample can have: one input, output, register and
+#: constant (see :meth:`AttributeSampler.sample`).
+MIN_NODES = 4
+
 
 def width_bucket(width: int) -> int:
     return min(int(np.ceil(np.log2(max(width, 1)))) if width > 1 else 0,
@@ -72,9 +76,9 @@ class AttributeSampler:
             type_index(NodeType.REG),
             type_index(NodeType.CONST),
         ]
-        if num_nodes < len(required):
+        if num_nodes < MIN_NODES:
             raise ValueError(
-                f"num_nodes must be >= {len(required)} to hold an input, "
+                f"num_nodes must be >= {MIN_NODES} to hold an input, "
                 f"output, register and constant; got {num_nodes}"
             )
         idx = rng.integers(0, len(self._pairs), size=num_nodes)

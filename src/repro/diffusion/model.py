@@ -20,10 +20,12 @@ gradients are bit-identical to the :class:`~repro.nn.Tensor` forward
 (:meth:`DenoisingNetwork.forward`), which stays as the reference the
 differential tests compare against.  Inference uses a vectorised numpy
 path (`predict_full`, `predict_full_batch`) that scores all N^2 pairs.
-Its decoder walks each graph in row blocks sized to a fixed cache
-budget, so the workspace stays bounded whatever N and the batch size
-are; blocking never changes a GEMM slice shape or an element's op order,
-so the output is bit-identical to an unblocked evaluation.
+Training and the encoder run in float64; the pair decoder runs in
+float32, and P_E agrees with a float64 decoder within 1e-6.  The decoder
+walks each graph in row blocks sized to a fixed cache budget, so the
+workspace stays bounded whatever N and the batch size are; blocking
+never changes a GEMM slice shape or an element's op order, so the
+output is bit-identical to an unblocked float32 evaluation.
 """
 
 from __future__ import annotations
@@ -43,10 +45,16 @@ from ..nn import (
 )
 from .features import NUM_WIDTH_BUCKETS
 
-# Byte budget of one row block of the pair decoder's (rows, N, H) float64
+# Byte budget of one row block of the pair decoder's (rows, N, H) float32
 # workspace (see DenoisingNetwork._decode_np).  Two such buffers are live
-# per forward.  A sweep of 64 KiB - 4 MiB (hidden 48, one BLAS thread, a
-# Xeon with 2 MiB L2 per core) put the optimum at 256-512 KiB.
+# per forward.  Sweep: hidden 48, one BLAS thread, a Xeon with 2 MiB L2
+# per core; decoder time summed over items of 64x4, 128x4, 256x4 and
+# 320x1 nodes, median of 25 interleaved rounds, two sweeps.  64 KiB
+# 99-101 ms, 128 KiB 85-88, 256 KiB 79-80, 512 KiB 77-79, 1 MiB 88,
+# 2 MiB 92-93, 4 MiB 114-115.  A 60-round sweep of 256/384/512/768 KiB
+# read 78.8/77.3/74.6/77.2 ms.  The optimum is flat from 256 to 768 KiB.
+# 256 KiB keeps the float64 decoder's workspace bytes; 512 KiB ran no
+# faster end to end (genbench sample-only) and raised peak RSS 0.5 MB.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -239,6 +247,10 @@ class DenoisingNetwork(Module):
         edge density is far lower, so inference shifts every logit by
         log-odds(true density) - log-odds(training rate).  Rankings are
         unaffected; sampled densities become calibrated.
+
+        The encoder runs in float64 and the pair decoder in float32 (see
+        :meth:`_decode_np`): the result is within 1e-6 of a float64
+        forward, not bit-identical to one.
         """
         h = self._encode_np(types, widths, a_t, t_frac)
         return self._decode_np(h[None], t_frac, logit_bias)[0]
@@ -259,7 +271,8 @@ class DenoisingNetwork(Module):
         output slice bit-identical to a standalone :meth:`predict_full`
         call -- the property the batched sampler's reproducibility
         guarantee rests on (row-fusing the batch into one tall GEMM
-        measurably changes low-order bits).
+        measurably changes low-order bits).  Both methods share the one
+        float32 pair decoder, :meth:`_decode_np`.
         """
         h = self._encode_np_batch(types, widths, a_t, t_frac)  # (B, N, H)
         return self._decode_np(h, t_frac, logit_bias)
@@ -279,6 +292,17 @@ class DenoisingNetwork(Module):
         matmul slice is still ``(N, H) @ (H, H)`` (then ``@ (H, 1)``)
         and each element sees the same operations in the same order, so
         the output is bit-identical for every block size.
+
+        The decoder runs in float32, the one inference precision: ``H``,
+        ``H + r``, the first layer's weights and time bias, and the
+        output weights are cast once per forward, which roughly halves the
+        per-element and the GEMM cost.  Each block's logits are
+        widened to float64 as they are stored, and ``b2``, the
+        ``logit_bias`` and the sigmoid run in float64.  P_E agrees with
+        a float64 decoder within 1e-6 (measured up to 4.8e-7 on graphs of
+        48-384 nodes).  A posterior draw flips only when its uniform
+        lands within that difference of P, so a sampled adjacency is
+        expected, not promised, to equal the float64 decoder's.
         """
         batch, n, hidden = h.shape
         feats = time_features(t_frac, self.encoder.time_dim)
@@ -288,14 +312,18 @@ class DenoisingNetwork(Module):
         edge = self.decoder.edge_mlp.layers
         w1, b1 = _wb(edge[0])
         w2, b2 = _wb(edge[1])
-        w1_z, w1_d = w1[:hidden], w1[hidden:]
-        d_bias = d @ w1_d + b1  # constant contribution of the time concat
+        f32 = np.float32
+        w1_z = w1[:hidden].astype(f32)
+        # constant contribution of the time concat
+        d_bias = (d @ w1[hidden:] + b1).astype(f32)
+        w2 = w2.astype(f32)
+        h_r = (h + r).astype(f32)
+        h = h.astype(f32)
 
-        block = max(1, min(n, _BLOCK_BYTES // (n * hidden * 8)))
-        pairs = np.empty((block, n, hidden))
-        act = np.empty((block, n, hidden))
+        block = max(1, min(n, _BLOCK_BYTES // (n * hidden * 4)))
+        pairs = np.empty((block, n, hidden), dtype=f32)
+        act = np.empty((block, n, hidden), dtype=f32)
         logits = np.empty((batch, n, n))
-        h_r = h + r
         for k in range(batch):
             for lo in range(0, n, block):
                 hi = min(lo + block, n)
@@ -306,6 +334,7 @@ class DenoisingNetwork(Module):
                 np.matmul(z, w1_z, out=a1)
                 a1 += d_bias
                 np.maximum(a1, 0.0, out=a1)
+                # A float32 GEMV, widened on store into the float64 logits.
                 np.matmul(a1, w2, out=logits[k, lo:hi, :, None])
         logits += b2
         logits += logit_bias

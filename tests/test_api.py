@@ -112,6 +112,14 @@ class TestJsonRoundTrip:
         assert back == req
         assert back.nodes == (20, 40)
 
+    @pytest.mark.parametrize("nodes", [0, 3, (3, 40), -1])
+    def test_generate_request_rejects_unsampleable_nodes(self, nodes):
+        # No sample of fewer than 4 nodes holds the four required types.
+        with pytest.raises(ValueError, match="nodes must be >= 4"):
+            GenerateRequest(nodes=nodes)
+        assert GenerateRequest(nodes=4).nodes == 4
+        assert GenerateRequest(nodes=(4, 40)).nodes == (4, 40)
+
     def test_synth_request_by_name_and_graph(self, corpus):
         by_name = self._roundtrip(SynthRequest("alu", 2.0), SynthRequest)
         assert by_name.design == "alu"

@@ -170,8 +170,10 @@ class TestDenoisingNetwork:
     )
     def test_blocked_decoder_bit_identical_to_unblocked(self, monkeypatch,
                                                         rows):
+        """Blocking is exact: the blocked float32 decoder equals the
+        unblocked float32 one for every block size."""
         n, hidden = 23, 16
-        budget = 1 << 40 if rows is None else rows * n * hidden * 8
+        budget = 1 << 40 if rows is None else rows * n * hidden * 4
         monkeypatch.setattr(model_module, "_BLOCK_BYTES", budget)
         net = DenoisingNetwork(hidden=hidden, num_layers=2, seed=0)
         rng = np.random.default_rng(4)
@@ -182,19 +184,24 @@ class TestDenoisingNetwork:
         solo = net.predict_full(types[0], buckets[0], a_t[0], 0.3,
                                 logit_bias=-0.7)
         h = net._encode_np(types[0], buckets[0], a_t[0], 0.3)
-        want = _unblocked_decode(net, h[None], 0.3, -0.7)[0]
+        want = _unblocked_decode(net, h[None], 0.3, -0.7, np.float32)[0]
         np.testing.assert_array_equal(solo, want)
 
         stacked = net.predict_full_batch(types, buckets, a_t, 0.3,
                                          logit_bias=-0.7)
         h = net._encode_np_batch(types, buckets, a_t, 0.3)
-        want = _unblocked_decode(net, h, 0.3, -0.7)
+        want = _unblocked_decode(net, h, 0.3, -0.7, np.float32)
         np.testing.assert_array_equal(stacked, want)
 
 
-def _unblocked_decode(net, h, t_frac, logit_bias):
+def _unblocked_decode(net, h, t_frac, logit_bias, dtype=np.float64):
     """The pair decoder in one shot: the whole ``(B, N, N, H)`` pair
-    tensor at once, no blocks and no reused buffers."""
+    tensor at once, no blocks and no reused buffers.
+
+    ``dtype=np.float64`` is the full-precision reference the float32
+    decoder is held to within a tolerance; ``np.float32`` casts the
+    operands as the decoder does, for the bit-identity check.
+    """
     def mlp(m, x):
         for layer in m.layers[:-1]:
             x = np.maximum(x @ layer.weight.data + layer.bias.data, 0.0)
@@ -206,11 +213,57 @@ def _unblocked_decode(net, h, t_frac, logit_bias):
     d = mlp(net.decoder.timestep_mlp, feats)[0]
     first, last = net.decoder.edge_mlp.layers
     w1, b1 = first.weight.data, first.bias.data
-    d_bias = d @ w1[hidden:] + b1
-    z = (h + r)[:, :, None, :] * h[:, None, :, :]
-    a1 = np.maximum(z @ w1[:hidden] + d_bias, 0.0)
-    logits = (a1 @ last.weight.data + last.bias.data)[..., 0] + logit_bias
+    d_bias = (d @ w1[hidden:] + b1).astype(dtype)
+    h_r, h = (h + r).astype(dtype), h.astype(dtype)
+    z = h_r[:, :, None, :] * h[:, None, :, :]
+    a1 = np.maximum(z @ w1[:hidden].astype(dtype) + d_bias, 0.0)
+    out = (a1 @ last.weight.data.astype(dtype)).astype(np.float64)
+    logits = (out + last.bias.data)[..., 0] + logit_bias
     return sigmoid_np(logits)
+
+
+#: Largest |P_E - P_E(float64)| the float32 pair decoder may show.
+DECODE_TOLERANCE = 1e-6
+
+
+@pytest.fixture(scope="module")
+def fast_trained():
+    """The ``fast``-preset denoiser (hidden 48) fitted on the corpus
+    training split."""
+    from repro.bench_designs import train_test_split
+
+    return train_diffusion(train_test_split(seed=2025)[0],
+                           resolve_preset("fast").diffusion)
+
+
+def test_float32_decoder_within_tolerance_on_population(fast_trained):
+    """On a seeded population of 48-384 nodes, every denoiser forward of
+    the reverse walk gives P_E within :data:`DECODE_TOLERANCE` of the
+    float64 unblocked decoder fed the same node embeddings."""
+    model = fast_trained.model
+    steps = fast_trained.schedule.num_steps
+    rng = np.random.default_rng(2026)
+    sizes = [48, 384, *(int(n) for n in rng.integers(48, 385, 6))]
+    worst = []
+    for n in sizes:
+        item = np.random.default_rng([2026, n])
+        types, widths = fast_trained.attributes.sample(n, item)
+        buckets = np.array([width_bucket(int(w)) for w in widths])
+        schedule = NoiseSchedule.cosine(steps, fast_trained.target_density(n))
+        bias = fast_trained.calibration_bias(n)
+        a_t = schedule.prior_sample((n, n), item)
+        drift = 0.0
+        for t in range(steps, 0, -1):
+            p_x0 = model.predict_full(types, buckets, a_t, t / steps,
+                                      logit_bias=bias)
+            h = model._encode_np(types, buckets, a_t, t / steps)
+            want = _unblocked_decode(model, h[None], t / steps, bias)[0]
+            drift = max(drift, float(np.abs(p_x0 - want).max()))
+            p_draw = (schedule.posterior_probability(a_t, p_x0, t)
+                      if t > 1 else p_x0)
+            a_t = item.random((n, n)) < p_draw
+        worst.append((n, drift))
+    assert all(drift <= DECODE_TOLERANCE for _, drift in worst), worst
 
 
 class TestTraining:

@@ -235,8 +235,11 @@ class TestServeEndToEnd:
         ("count", -1, "count must be >= 0"),
         ("seed", -1, "seed must be >= 0"),
         ("nodes", [40, 20], "nodes range .* is reversed"),
-        ("nodes", -1, "nodes must be >= 0"),
-    ], ids=["tier", "count", "seed", "nodes", "negative_nodes"])
+        ("nodes", -1, "nodes must be >= 4"),
+        ("nodes", 3, "nodes must be >= 4"),
+        ("nodes", [3, 40], "nodes must be >= 4"),
+    ], ids=["tier", "count", "seed", "nodes", "negative_nodes",
+            "too_few_nodes", "too_few_nodes_range"])
     def test_bad_field_value_is_400(self, client, field, value, message):
         # Rejected when the request is built at submit, so no job is
         # queued only to fail later inside a worker.
@@ -245,10 +248,15 @@ class TestServeEndToEnd:
             client.submit({"count": 1, field: value})
         assert len(client.jobs()) == jobs_before
 
+    # A node range past int64 passes request validation but raises
+    # ValueError inside the engine, when the item sizes are drawn.
+    UNDRAWABLE = (40, 2 ** 63)
+
     def test_worker_failure_is_isolated(self, client):
-        # nodes=0 passes request validation but raises inside the
-        # engine: the job fails, the worker survives for the next job.
-        accepted = client.submit(GenerateRequest(count=1, nodes=0, seed=21))
+        # The job fails, the worker survives for the next job.
+        accepted = client.submit(
+            GenerateRequest(count=1, nodes=self.UNDRAWABLE, seed=21)
+        )
         status = client.wait(accepted["job_id"])
         assert status["state"] == FAILED
         assert "ValueError" in status["error"]
@@ -257,8 +265,10 @@ class TestServeEndToEnd:
         events = list(client.stream(accepted["job_id"]))
         assert events[-1]["type"] == "failed"
         with pytest.raises(ServeError, match="failed"):
-            client.generate(GenerateRequest(count=1, nodes=0, seed=21),
-                            dedupe=False)
+            client.generate(
+                GenerateRequest(count=1, nodes=self.UNDRAWABLE, seed=21),
+                dedupe=False,
+            )
         # The pool is still fully alive and serving.
         assert client.stats()["workers_alive"] == 2
         ok = client.generate(GenerateRequest(count=1, nodes=40, seed=22))
@@ -267,7 +277,9 @@ class TestServeEndToEnd:
     def test_failed_jobs_are_not_dedup_hits(self, client):
         # Resubmitting the failed request above must dispatch a fresh
         # attempt, never return the cached failure.
-        accepted = client.submit(GenerateRequest(count=1, nodes=0, seed=21))
+        accepted = client.submit(
+            GenerateRequest(count=1, nodes=self.UNDRAWABLE, seed=21)
+        )
         assert not accepted["deduplicated"]
 
     def test_dedup_hit_zero_dispatch(self, client):
