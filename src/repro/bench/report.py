@@ -14,6 +14,7 @@ measurement is scheduler noise, not signal.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import platform
 import subprocess
@@ -26,6 +27,17 @@ from .core import BenchRecord
 
 #: Bump when a field changes meaning; additive changes keep the version.
 SCHEMA_VERSION = 1
+
+#: Variables sizing the BLAS/OpenMP thread pools.  They only take effect
+#: when set before numpy loads, so ``repro bench`` cannot set them for
+#: itself.  CI and genbench pin them to 1, and a baseline compares only
+#: against runs with the same setting.
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def current_blas_threads() -> str:
+    """This process's BLAS thread setting, ``"unset"`` for the default."""
+    return os.environ.get(THREAD_ENV[0], "unset")
 
 
 def git_revision() -> str:
@@ -65,7 +77,11 @@ class BenchReport:
         config_fingerprint: str,
         records: list[BenchRecord],
     ) -> "BenchReport":
-        """Build a report stamped with the current environment."""
+        """Build a report stamped with the current environment; each
+        record's meta gets the run's ``blas_threads``."""
+        threads = current_blas_threads()
+        for record in records:
+            record.meta["blas_threads"] = threads
         return cls(
             suite=suite,
             preset=preset,
@@ -106,6 +122,13 @@ class BenchReport:
             numpy_version=str(data.get("numpy_version", "")),
             schema_version=int(data.get("schema_version", SCHEMA_VERSION)),
         )
+
+    def blas_threads(self) -> str:
+        """The BLAS thread setting its records ran with."""
+        return ",".join(sorted({
+            str(record.meta.get("blas_threads", "unset"))
+            for record in self.records
+        })) or "unset"
 
     def write(self, path: str | pathlib.Path) -> pathlib.Path:
         path = pathlib.Path(path)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 
@@ -333,7 +334,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_serve_suite,
         run_suite,
     )
+    from .bench.report import THREAD_ENV
 
+    unset = [name for name in THREAD_ENV if name not in os.environ]
+    if unset:
+        print(f"warning: {', '.join(unset)} unset: BLAS kernels run on "
+              "the library's default thread pool; set them to 1 before "
+              "starting, as CI and genbench do, to compare against a "
+              "committed baseline", file=sys.stderr)
     if args.suite == "serve":
         report = run_serve_suite(
             preset=args.preset,
@@ -378,6 +386,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if baseline.config_fingerprint != report.config_fingerprint:
             print(f"note: baseline {args.compare} was produced by a "
                   "different scenario config; comparing anyway")
+        if baseline.blas_threads() != report.blas_threads():
+            print(f"note: baseline {args.compare} ran with BLAS threads "
+                  f"{baseline.blas_threads()}, this run with "
+                  f"{report.blas_threads()}; comparing anyway")
         regressions = compare(
             report, baseline, max_regression=args.max_regression
         )

@@ -31,14 +31,24 @@ value.  The delta mode is exact (bit-identical reports to the full
 fixpoint, enforced by the differential fuzz suite and the ``S007``
 sanitizer rule) because it falls back to the full pass whenever a
 precondition it cannot cheaply re-establish is violated: a register's
-reference moving, an edit reaching the justification cone of a
-constant-folded register (where fixpoints are not unique), or the
-worklist failing to settle within the round budget.
+reference moving, an edit reaching the *witness closure* of a
+constant-folded or aliased register (where fixpoints are not unique), or
+the worklist failing to settle within the round budget.  The witness
+closure is what justifies each fold: an absorbing AND/OR/MUL constant,
+or a constant MUX select plus its chosen branch, stands for its node;
+other folded or aliased nodes expand all their parents; self-represented
+nodes close the walk, since any change to their inputs wakes them.
+
+The full pass stops after a round in which no node read by a consumer
+at or before its own evaluation position changed: every read of that
+round already saw its final value, so another round would repeat it.
+With the sanitizer on, rule ``S009`` runs that skipped round and checks
+it changes nothing.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 
 from ..ir import CircuitGraph, NodeType
@@ -185,6 +195,12 @@ class RedundancyAnalyzer:
              v in self.static_rewired)
             for v in self.order
         ]
+        #: Nodes read by a consumer at or before their own position in
+        #: this graph's order (registers, mostly): only their changes
+        #: can leave a stale read behind in a fixpoint round.
+        self._back = frozenset(
+            self._back_nodes(graph.filled_rows(), self.order)
+        )
         # --- delta-mode baseline (captured explicitly per rebase) ---
         #: Delta-mode outcome counters; ``delta_fallbacks`` is broken
         #: down by reason in ``fallback_reasons``.
@@ -206,8 +222,10 @@ class RedundancyAnalyzer:
         #: graph edge to their representative, so reference changes must
         #: wake them explicitly.
         self._b_deps: dict[int, list[int]] = {}
-        #: Nodes inside the justification cone of a register whose
-        #: baseline reference folded or aliased.  Such folds can be
+        #: The baseline graph's fanout map.
+        self._b_children: list[list[int]] = []
+        #: The witness closure of every register whose baseline
+        #: reference folded or aliased.  Such folds can be
         #: self-sustaining through the register feedback cycle, where
         #: the fixpoint is not unique; edits reaching this set fall back
         #: to the full pass.
@@ -224,6 +242,14 @@ class RedundancyAnalyzer:
         dependents map, and the folded-register guard set; subsequent
         :meth:`analyze` calls with ``touched`` then re-run the fixpoint
         only over the edit's affected cone.
+
+        The guard is the folded registers' witness closure, walked over
+        base edges (registers included -- justifications can thread
+        through other folded registers): a folded or aliased node
+        expands only the parents that justify its reference
+        (:meth:`_witness`), and a self-represented node joins without
+        being expanded, because any reference change among its inputs
+        wakes it in the delta pass, which then falls back.
         """
         refs = report.refs
         parents = graph.filled_rows()
@@ -252,25 +278,49 @@ class RedundancyAnalyzer:
             elif code == _K_REG:
                 folded_regs.append(v)
         guard: set[int] = set()
-        if folded_regs:
-            # Everything a folded register's justification could rest
-            # on: its transitive fan-in through base edges (registers
-            # included -- justifications can thread through other
-            # folded registers).
-            stack = list(folded_regs)
-            while stack:
-                v = stack.pop()
-                if v in guard:
-                    continue
-                guard.add(v)
-                stack.extend(parents[v])
+        stack = folded_regs
+        while stack:
+            v = stack.pop()
+            if v in guard:
+                continue
+            guard.add(v)
+            ref = refs[v]
+            if ref[0] == "n" and ref[1] == v:
+                continue
+            stack.extend(self._witness(v, parents[v], refs))
         self._b_graph = graph
         self._b_refs = list(refs)
         self._b_rewired = set(report.rewired)
         self._b_owner = owner
         self._b_key = keys
         self._b_deps = deps
+        self._b_children = graph.child_map()
         self._b_guard = frozenset(guard)
+
+    def _witness(
+        self, v: int, pv: list[int], refs: list[Ref]
+    ) -> list[int]:
+        """The parents that justify folded or aliased ``v``'s reference.
+
+        An absorbing constant decides an AND/OR/MUL whatever the other
+        operand is, and a constant select reads only its chosen branch;
+        any other fold or alias rests on all of its parents.
+        """
+        code = self.codes[v]
+        if code == _K_MUX:
+            sel = refs[pv[0]]
+            if sel[0] == "c":
+                return [pv[0], pv[1] if sel[1] != 0 else pv[2]]
+        elif code == _K_AND or code == _K_OR or code == _K_MUL:
+            mask = self.masks[v]
+            absorbing = mask if code == _K_OR else 0
+            for p in pv:
+                c = refs[p]
+                if c[0] == "c" and (
+                    c[1] == 0 if code == _K_MUL else c[1] & mask == absorbing
+                ):
+                    return [p]
+        return pv
 
     # ------------------------------------------------------------------
     def analyze(
@@ -287,7 +337,7 @@ class RedundancyAnalyzer:
         the affected cone and reuses converged baseline values
         everywhere else, falling back to the full pass when a delta
         precondition fails.  Without a baseline, ``touched`` still
-        enables the single-round convergence check of the full pass.
+        spares the full pass a whole-graph scan for its early stop.
         """
         # Bulk read-only wiring snapshot: memoized on the graph (and for
         # copy-on-write views derived from the base's snapshot), so one
@@ -296,9 +346,7 @@ class RedundancyAnalyzer:
         if touched is not None and self._b_graph is not None:
             report = None
             try:
-                report = self._delta_analyze(
-                    graph, parents, touched, max_rounds
-                )
+                report = self._delta_analyze(parents, touched, max_rounds)
             except Exception:
                 # A delta-path bug must never sink the search: record
                 # the divergence, flip to the full path for good (the
@@ -322,19 +370,47 @@ class RedundancyAnalyzer:
         touched: Iterable[int] | None = None,
         parents: list[list[int]] | None = None,
     ) -> RedundancyReport:
-        """The full (non-delta) fixpoint over every node."""
+        """The full (non-delta) fixpoint over every node.
+
+        ``touched`` names the nodes whose parents may differ from the
+        construction graph; without it the early-stop set is re-derived
+        from every edge.
+        """
         if parents is None:
             parents = graph.filled_rows()
         refs = list(self.init_refs)
         rewired: set[int] = set(self.static_rewired)
-        single_round_ok = touched is not None and self._order_valid(
-            parents, touched
+        if touched is None:
+            back = self._back_nodes(parents, self.order)
+        else:
+            # A superset suffices: an extra node only costs a round.
+            back = self._back.union(self._back_nodes(parents, touched))
+        rounds, early = self._fixpoint(
+            parents, refs, rewired, self._order_static, max_rounds, back
         )
-        rounds = self._fixpoint(
-            parents, refs, rewired, self._order_static, max_rounds,
-            single_round_ok=single_round_ok,
-        )
+        if early:
+            sanitizer = _current_sanitizer()
+            if sanitizer is not None:
+                # S009: the skipped confirming round must be a no-op.
+                sanitizer.check_early_stop(self, graph, parents, refs,
+                                           rewired)
         return self._report(parents, refs, rewired, rounds)
+
+    def _back_nodes(
+        self, parents: list[list[int]], consumers: Iterable[int]
+    ) -> set[int]:
+        """Parents of ``consumers`` evaluated at or after the consumer."""
+        pos = self._pos
+        back: set[int] = set()
+        for c in consumers:
+            limit = pos.get(c)
+            if limit is None:
+                continue  # IN/CONST/OUT: never evaluated
+            for p in parents[c]:
+                q = pos.get(p)
+                if q is not None and q >= limit:
+                    back.add(p)
+        return back
 
     def _delta_fallback(self, reason: str) -> None:
         self.delta_fallbacks += 1
@@ -345,7 +421,6 @@ class RedundancyAnalyzer:
 
     def _delta_analyze(
         self,
-        graph: CircuitGraph,
         parents: list[list[int]],
         touched: Iterable[int],
         max_rounds: int,
@@ -391,7 +466,10 @@ class RedundancyAnalyzer:
         owner_by_key = self._b_owner
         b_key = self._b_key
         b_deps = self._b_deps
-        child_map: list[list[int]] | None = None
+        # Fanout through base edges: a node whose own parents changed is
+        # touched, hence dirty from the start, so the base map wakes
+        # exactly the consumers the candidate's map would.
+        children = self._b_children
         rounds = 0
         converged = False
         for rounds in range(1, max_rounds + 1):
@@ -549,9 +627,7 @@ class RedundancyAnalyzer:
                         return self._delta_fallback("reg_ref_changed")
                     refs[v] = ref
                     changed = True
-                    if child_map is None:
-                        child_map = graph.child_map()
-                    pending.extend(child_map[v])
+                    pending.extend(children[v])
                     deps = b_deps.get(v)
                     if deps:
                         pending.extend(deps)
@@ -574,21 +650,6 @@ class RedundancyAnalyzer:
         if not converged:
             return self._delta_fallback("no_convergence")
         return self._report(parents, refs, rewired, rounds)
-
-    def _order_valid(
-        self, parents: list[list[int]], touched: Iterable[int]
-    ) -> bool:
-        """True when the touched nodes' parent edges respect the
-        analyzer's combinational evaluation order."""
-        pos, comb = self._pos, self._comb
-        for v in touched:
-            if v not in comb:
-                continue  # REG/OUT read results only after the comb pass
-            limit = pos[v]
-            for p in parents[v]:
-                if p in comb and pos[p] > limit:
-                    return False
-        return True
 
     def _report(
         self,
@@ -613,21 +674,23 @@ class RedundancyAnalyzer:
         rewired: set[int],
         order: list[tuple],
         max_rounds: int,
-        single_round_ok: bool = False,
-    ) -> int:
+        back: Container[int],
+    ) -> tuple[int, bool]:
         """Run rule rounds over ``order`` until stable; mutates
-        ``refs`` / ``rewired`` in place, returns the round count.
+        ``refs`` / ``rewired`` in place, returns ``(rounds, early)``.
 
-        With ``single_round_ok`` (topologically valid order), the pass
-        stops after round one unless a register's reference changed --
-        registers are the only nodes evaluated after their consumers.
+        The pass stops after any round in which no node of ``back``
+        (those read by a consumer at or before their own position)
+        changed its reference: every read of that round then already
+        saw its final value, so the next round would recompute it
+        unchanged.  ``early`` says the last round changed something, so
+        that confirming round was skipped.
         """
         types, widths = self.types, self.widths
         rounds = 0
-        reg_changed = False
-
         for rounds in range(1, max_rounds + 1):
             changed = False
+            stale = False
             seen: dict[tuple, Ref] = {}
             for v, code, w, mask, commutative_v, sig_v, static_rw in order:
                 pv = parents[v]
@@ -751,19 +814,17 @@ class RedundancyAnalyzer:
                 if refs[v] != ref:
                     refs[v] = ref
                     changed = True
-                    if code == _K_REG:
-                        reg_changed = True
+                    if v in back:
+                        stale = True
                 if rewire != (v in rewired):
                     changed = True
                     if rewire:
                         rewired.add(v)
                     else:
                         rewired.discard(v)
-            if not changed:
-                break
-            if single_round_ok and rounds == 1 and not reg_changed:
-                break
-        return rounds
+            if not stale:
+                return rounds, changed
+        return rounds, False
 
     # ------------------------------------------------------------------
     def _fold(

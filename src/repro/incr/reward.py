@@ -26,6 +26,8 @@ on the reference path (``delta=False``).  The full-resynthesis search,
 
 from __future__ import annotations
 
+from itertools import count
+
 from ..ir import CircuitGraph, NodeType
 from ..lint.sanitize import current_sanitizer
 from ..obs import span
@@ -67,6 +69,23 @@ class _AreaScratch:
         return net
 
 
+#: Process-wide rebase generations: a search state's cached pricing
+#: (``_reward_delta``) is valid only for the generation it was made in.
+_GENERATIONS = count(1)
+
+#: Longest swap-provenance chain followed back to a priced ancestor or
+#: the base; a state beyond it is diffed against the base instead.
+_MAX_CHAIN = 256
+
+#: (library, strength, node schema, operand widths) -> raw mapped area,
+#: shared by every engine in the process behind each engine's own
+#: ``(node, operand widths)`` memo: a lowering's gate kinds depend on
+#: nothing else, so a schema priced for one design is priced for all.
+_SHARED_AREAS: dict[tuple, float] = {}
+#: ``_SHARED_AREAS`` is emptied when it reaches this many entries.
+_SHARED_AREA_LIMIT = 1 << 16
+
+
 class IncrementalReward:
     """Delta-driven approximate PCS with the exact reward's protocol.
 
@@ -103,14 +122,16 @@ class IncrementalReward:
         self.rebases = 0
         #: Delta-analysis outcomes accumulated across rebases (each
         #: rebase builds a fresh analyzer; its counters are absorbed
-        #: here before it is replaced).
+        #: here before it is replaced): hits, divergences and the
+        #: fallbacks by reason.
         self.analysis_delta_hits = 0
-        self.analysis_fallbacks = 0
         self.analysis_divergences = 0
+        self.analysis_fallback_reasons: dict[str, int] = {}
         self.base_pcs: float | None = None
         self._base_graph: CircuitGraph | None = None
         self._base: DeltaNetlist | None = None
         self._analyzer: RedundancyAnalyzer | None = None
+        self._generation = 0
         self._scale = 1.0
         #: node id -> raw mapped area of its lowering in the base state.
         self._base_area: dict[int, float] = {}
@@ -149,11 +170,13 @@ class IncrementalReward:
                 library=self.library, check=False, run_timing=False,
             ).pcs
         self._base_graph = graph
+        self._generation = next(_GENERATIONS)
         # The tracked base elaboration is only needed by the
         # DeltaOracle; the scoring path works entirely from the per-node
         # area memo, so it is built lazily.
         self._base = None
-        self._absorb_analysis_counters()
+        (self.analysis_delta_hits, _, self.analysis_divergences,
+         self.analysis_fallback_reasons) = self.analysis_counters()
         self._analyzer = RedundancyAnalyzer(graph, share_from=self._analyzer)
         self.base_pcs = exact_pcs
         # The (node, operand widths) -> area memo depends only on the
@@ -186,27 +209,19 @@ class IncrementalReward:
         estimate = self._area_of(base_report)
         self._scale = exact_pcs * graph.num_nodes / estimate if estimate else 1.0
 
-    def _absorb_analysis_counters(self) -> None:
+    def analysis_counters(self) -> tuple[int, int, int, dict[str, int]]:
+        """(delta hits, fallbacks, divergences, fallbacks by reason)
+        including the live analyzer's tallies."""
+        hits = self.analysis_delta_hits
+        divergences = self.analysis_divergences
+        reasons = dict(self.analysis_fallback_reasons)
         analyzer = self._analyzer
         if analyzer is not None:
-            self.analysis_delta_hits += analyzer.delta_hits
-            self.analysis_fallbacks += analyzer.delta_fallbacks
-            self.analysis_divergences += analyzer.delta_divergences
-
-    def analysis_counters(self) -> tuple[int, int, int]:
-        """(delta hits, fallbacks, divergences) including the live
-        analyzer's tallies."""
-        analyzer = self._analyzer
-        extra = (
-            (analyzer.delta_hits, analyzer.delta_fallbacks,
-             analyzer.delta_divergences)
-            if analyzer is not None else (0, 0, 0)
-        )
-        return (
-            self.analysis_delta_hits + extra[0],
-            self.analysis_fallbacks + extra[1],
-            self.analysis_divergences + extra[2],
-        )
+            hits += analyzer.delta_hits
+            divergences += analyzer.delta_divergences
+            for reason, n in analyzer.fallback_reasons.items():
+                reasons[reason] = reasons.get(reason, 0) + n
+        return hits, sum(reasons.values()), divergences, reasons
 
     # ------------------------------------------------------------------
     def _area_of(
@@ -236,60 +251,42 @@ class IncrementalReward:
         ordered operand widths): operand bits are only ever consumed
         through zero-extension or truncation to static widths, never
         through operand identity.  The memo therefore replaces the
-        per-candidate dirty-cone re-elaboration the reward used to pay.
+        per-candidate dirty-cone re-elaboration the reward used to pay;
+        a miss first asks the process-wide schema memo, so only a schema
+        no design has priced yet is lowered.
         """
         widths = self._node_widths
         parents = graph.filled_parents(v)
         key = (v, tuple([widths[p] for p in parents]))
         area = self._area_memo.get(key)
         if area is None:
-            from ..synth.elaborate import _Elaborator
-
-            scratch = _AreaScratch()
-            bits = {p: list(range(2, 2 + widths[p])) for p in parents}
-            _Elaborator(graph, netlist=scratch, bits=bits)._lower_comb(v)
             library, strength = self.library, self.strength
-            # Same float fold as summing the real artifact's gate areas.
-            area = sum(
-                library.cell(kind, strength).area for kind in scratch.kinds
-            )
+            shared_key = (library, strength, self._analyzer.static_sig[v],
+                          key[1])
+            area = _SHARED_AREAS.get(shared_key)
+            if area is None:
+                from ..synth.elaborate import _Elaborator
+
+                scratch = _AreaScratch()
+                bits = {p: list(range(2, 2 + widths[p])) for p in parents}
+                _Elaborator(graph, netlist=scratch, bits=bits)._lower_comb(v)
+                # Same float fold as summing the real artifact's gate
+                # areas.
+                area = sum(
+                    library.cell(kind, strength).area
+                    for kind in scratch.kinds
+                )
+                if len(_SHARED_AREAS) >= _SHARED_AREA_LIMIT:
+                    _SHARED_AREAS.clear()
+                _SHARED_AREAS[shared_key] = area
             self._area_memo[key] = area
         return area
-
-    def _touched_vs_base(self, graph: CircuitGraph) -> list[int] | None:
-        touched = self._trace_touched(graph)
-        if touched is None:
-            touched = graph.structural_delta(self._base_graph)
-        return touched
 
     def _ensure_base_delta(self) -> DeltaNetlist:
         """The tracked elaboration of the base, built on first use."""
         if self._base is None:
             self._base = DeltaNetlist.from_graph(self._base_graph, check=False)
         return self._base
-
-    def _trace_touched(self, graph: CircuitGraph) -> list[int] | None:
-        """Touched nodes recovered from ``apply_swap`` edit provenance.
-
-        Each swap successor records its predecessor state and the two
-        rewired nodes (``graph.edit_origin``); when the chain reaches
-        the anchored base, the union of rewired nodes is a (tight)
-        superset of the diff and the O(nodes) graph comparison is
-        skipped.  Returns ``None`` when the chain does not reach the
-        base, falling back to :meth:`CircuitGraph.structural_delta`.
-        """
-        base_graph = self._base_graph
-        touched: set[int] = set()
-        node = graph
-        for _ in range(256):
-            origin = getattr(node, "edit_origin", None)
-            if origin is None:
-                return None
-            node, rewired = origin
-            touched.update(rewired)
-            if node is base_graph:
-                return sorted(touched)
-        return None
 
     def __call__(
         self, graph: CircuitGraph, cone: object = None
@@ -299,27 +296,69 @@ class IncrementalReward:
             self.rebase(graph)
         if graph is self._base_graph:
             return self.base_pcs
-        touched = self._touched_vs_base(graph)
-        if touched is None:
+        priced = self._priced(graph)
+        if priced is None:
             # Different schema: a new design, re-anchor everything.
             self.rebase(graph)
             return self.base_pcs
+        touched, overrides = priced
         if not touched:
             return self.base_pcs
         self.patches += 1
         report = self._analyzer.analyze(graph, touched=touched)
-        comb = self._analyzer._comb
-        # Only the rewired nodes' own areas can differ from base (their
-        # operand widths changed); REG/OUT lowerings are width-static.
-        overrides = {
-            v: self._rewired_area(graph, v) for v in touched if v in comb
-        }
         sanitizer = current_sanitizer()
         if sanitizer is not None and overrides:
             # S006: memo-served areas vs fresh single-node lowerings.
             sanitizer.check_area_memo(self, graph, overrides)
         area = self._area_of(report, overrides)
         return self._scale * area / max(graph.num_nodes, 1)
+
+    def _priced(
+        self, graph: CircuitGraph
+    ) -> tuple[list[int], dict[int, float]] | None:
+        """(touched nodes, area overrides) of ``graph`` against the base.
+
+        Only the rewired nodes' own areas can differ from base (their
+        operand widths changed); REG/OUT lowerings are width-static.  A
+        swap successor inherits its predecessor's pair -- cached on the
+        state under this rebase's generation -- and re-prices only the
+        rows rewired since, so one call prices one swap, not the whole
+        lineage.  ``None`` when ``graph`` is not derived from the base.
+        """
+        generation = self._generation
+        cached = graph.__dict__.get("_reward_delta")
+        if cached is not None and cached[0] == generation:
+            return cached[1], cached[2]
+        rewired: set[int] = set()
+        anchor = None
+        node = graph
+        for _ in range(_MAX_CHAIN):
+            origin = getattr(node, "edit_origin", None)
+            if origin is None:
+                break
+            node, rows = origin
+            rewired.update(rows)
+            if node is self._base_graph:
+                anchor = ((), {})
+                break
+            entry = node.__dict__.get("_reward_delta")
+            if entry is not None and entry[0] == generation:
+                anchor = entry[1:]
+                break
+        if anchor is None:
+            # No priced ancestor within reach: diff against the base.
+            diff = graph.structural_delta(self._base_graph)
+            if diff is None:
+                return None
+            anchor, rewired = ((), {}), set(diff)
+        touched = sorted(rewired.union(anchor[0]))
+        overrides = dict(anchor[1])
+        comb = self._analyzer._comb
+        for v in rewired:
+            if v in comb:
+                overrides[v] = self._rewired_area(graph, v)
+        graph._reward_delta = (generation, touched, overrides)
+        return touched, overrides
 
 
 class DeltaOracle:
@@ -378,10 +417,10 @@ class DeltaOracle:
             return None
         if graph is base_graph:
             return self._assemble(engine._ensure_base_delta())
-        touched = engine._touched_vs_base(graph)
-        if touched is None:
+        priced = engine._priced(graph)
+        if priced is None:
             return None
-        delta = engine._ensure_base_delta().apply_edit(graph, touched)
+        delta = engine._ensure_base_delta().apply_edit(graph, priced[0])
         if delta.parent is None:
             return None
         return self._assemble(delta)

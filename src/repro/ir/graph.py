@@ -46,6 +46,7 @@ _WIRING_MEMOS = (
     "_filled_rows_memo",
     "_edge_pos_memo",
     "_swap_local",
+    "_reward_delta",
 )
 
 
@@ -592,6 +593,16 @@ class GraphView(CircuitGraph):
         g = CircuitGraph(self.name)
         g._nodes = [n.copy() for n in self._nodes]
         g._parents = [list(self._row(v)) for v in range(len(self._nodes))]
+        return g
+
+    def flatten(self) -> CircuitGraph:
+        """A plain graph with this view's wiring over the *same* node
+        storage.  Views of it start with an empty overlay, so a search
+        that accepts a state and searches on from it stops carrying
+        every earlier rewrite in each successor."""
+        g = CircuitGraph(self.name)
+        g._nodes = self._nodes
+        g._parents = [list(row) for row in self._all_rows()]
         return g
 
     def commit(self) -> CircuitGraph:

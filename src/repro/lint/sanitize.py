@@ -43,8 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - import-cycle-free annotations only
 
 #: Sanitizer rules: listed in the catalog for docs/selection; their
 #: checks run from instrumented checkpoints, not from lint_graph().
-#: S004 and S008 are retired (their structures are gone); the other ids
-#: keep their numbers.
+#: S004 and S008 are retired (their structures are gone) and are never
+#: reused; the other ids keep their numbers.
 SANITIZER_RULES = tuple(register(Rule(
     id=rule_id, title=title, severity=ERROR, scope=SANITIZER_SCOPE,
     description=description,
@@ -67,6 +67,9 @@ SANITIZER_RULES = tuple(register(Rule(
     ("S007", "delta-analysis-coherence",
      "RedundancyAnalyzer's dirty-cone delta report must match the full "
      "fixpoint over every node."),
+    ("S009", "fixpoint-early-stop",
+     "After the full fixpoint stops early, one more rule round must "
+     "change no reference and no rewired entry."),
 ))
 
 #: Every rule id a :class:`Sanitizer` can audit.
@@ -500,6 +503,39 @@ class Sanitizer:
                 "delta-mode redundancy report diverges from the full "
                 f"fixpoint in {', '.join(mismatches)}",
                 nodes=bad[:16], **prov,
+            )
+
+    # -- S009 ------------------------------------------------------------
+    def check_early_stop(
+        self,
+        analyzer: Any,
+        graph: "CircuitGraph",
+        parents: list[list[int]],
+        refs: list[Any],
+        rewired: set[int],
+    ) -> None:
+        """S009: the round the full fixpoint skipped is a no-op."""
+        if not self.wants("S009"):
+            return
+        self.checks_run += 1
+        again_refs = list(refs)
+        again_rewired = set(rewired)
+        analyzer._fixpoint(parents, again_refs, again_rewired,
+                           analyzer._order_static, 1, ())
+        bad = [v for v, (a, b) in enumerate(zip(refs, again_refs)) if a != b]
+        moved = sorted(rewired ^ again_rewired)
+        if bad or moved:
+            parts = []
+            if bad:
+                parts.append(f"{len(bad)} references")
+            if moved:
+                parts.append(f"{len(moved)} rewired entries")
+            self._fail(
+                "S009",
+                "the full fixpoint stopped early, but one more round "
+                f"changes {' and '.join(parts)}",
+                nodes=sorted(set(bad) | set(moved))[:16],
+                **_graph_provenance(graph),
             )
 
 

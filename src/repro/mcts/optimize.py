@@ -163,6 +163,9 @@ class OptimizationReport:
     analysis_delta_hits: int = 0
     analysis_fallbacks: int = 0
     analysis_divergences: int = 0
+    #: ``analysis_fallbacks`` by reason (``folded_reg_cone``,
+    #: ``reg_ref_changed``, ``no_convergence``), across every rebase.
+    analysis_fallback_reasons: dict[str, int] = field(default_factory=dict)
     #: Delta-substrate oracle outcomes (candidates scored from a
     #: materialized delta netlist / via fresh elaboration / divergences
     #: that flipped the oracle to the reference path).  All zero when
@@ -191,8 +194,9 @@ class OptimizationReport:
 
 
 #: Report fields mirrored into the process-wide metrics registry as
-#: ``repro_<field>_total`` counters at the end of every search.  The
-#: registry is the aggregated source surfaces like ``GET /metrics``
+#: ``repro_<field>_total`` counters at the end of every search (plus one
+#: ``repro_analysis_fallbacks_<reason>_total`` per fallback reason).
+#: The registry is the aggregated source surfaces like ``GET /metrics``
 #: read; the per-run report keeps the same numbers scoped to one call.
 _PUBLISHED_COUNTERS = (
     "reward_calls",
@@ -212,6 +216,8 @@ def _publish_metrics(report: OptimizationReport) -> None:
         value = getattr(report, name)
         if value:
             reg.counter(f"{name}_total").inc(value)
+    for reason, value in sorted(report.analysis_fallback_reasons.items()):
+        reg.counter(f"analysis_fallbacks_{reason}_total").inc(value)
 
 
 def _resolve_search_rewards(config: MCTSConfig, reward_fn: RewardFn | None):
@@ -375,7 +381,7 @@ def _search_registers(
     )
     fast = config.tier == FAST_TIER and incremental is not None
     sanitizer = _sanitizer_from_config(config.sanitize, seed=config.seed)
-    current = graph.copy()
+    current = start = graph.copy()
     report = OptimizationReport(
         graph=current, incremental=incremental is not None
     )
@@ -486,14 +492,15 @@ def _search_registers(
                             current_pcs = candidate_pcs
                             accepted = True
             if accepted:
-                # The accepted state becomes the next search base; cut
-                # the swap provenance chain so the intermediate rollout
-                # graphs it references can be reclaimed.
-                current.edit_origin = None
+                # The accepted state becomes the next search base: a
+                # plain graph over the same node storage, so the next
+                # cone's states carry only their own rewires and the
+                # intermediate rollout graphs can be reclaimed.
+                if isinstance(current, GraphView):
+                    current = current.flatten()
                 if sanitizer is not None:
-                    # S001 again, post-acceptance: the provenance cut
-                    # must not have disturbed the memos the next cone
-                    # search will derive from.
+                    # S001 again, post-acceptance: the memos of the
+                    # base the next cone search derives from.
                     sanitizer.check_graph_memos(current)
                 if preserved is None:
                     # The gate (when it ran) compared this same
@@ -530,16 +537,18 @@ def _search_registers(
         report.reward_patches = incremental.patches
         report.reward_rebases = incremental.rebases
         (report.analysis_delta_hits, report.analysis_fallbacks,
-         report.analysis_divergences) = incremental.analysis_counters()
+         report.analysis_divergences,
+         report.analysis_fallback_reasons) = incremental.analysis_counters()
     oracle_counters = getattr(oracle, "counters", None)
     if oracle_counters is not None:
         (report.oracle_delta_hits, report.oracle_fallbacks,
          report.oracle_divergences) = oracle_counters()
-    # Search states are copy-on-write views; hand callers an independent
-    # plain graph so the accepted design's lifetime is decoupled from
-    # the search base and later mutations cannot alias other states.
-    if isinstance(current, GraphView):
-        current = current.materialize()
+    # Accepted states share node storage with the search's views; hand
+    # callers an independent plain graph so the accepted design's
+    # lifetime is decoupled from the search and later mutations cannot
+    # alias other states.
+    if current is not start:
+        current = current.copy()
     report.graph = current
     _publish_metrics(report)
     return report

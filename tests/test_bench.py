@@ -120,7 +120,7 @@ class TestRegressionGate:
 class TestSuite:
     def test_simulation_suite_and_speedup_annotation(self):
         report = run_suite(
-            preset="smoke", repeats=1, warmup=0, filter_pattern="simulate"
+            preset="smoke", repeats=1, warmup=1, filter_pattern="simulate"
         )
         names = [record.name for record in report.records]
         assert names == [

@@ -228,6 +228,53 @@ class TestRedundancyAnalysis:
         assert graph.registers()[0] not in survivors  # swept via fold
 
 
+    def test_witness_guard_leaves_non_witness_fan_in_out(self):
+        # r <= 0 & (a ^ c): the absorbing constant alone justifies the
+        # fold, so an edit inside the XOR's fan-in is a delta hit.
+        from repro.incr.analysis import RedundancyAnalyzer
+        from repro.ir import GraphView
+
+        b = GraphBuilder("witness")
+        a = b.input("a", 4)
+        c = b.input("c", 4)
+        zero = b.const(0, 4)
+        y = b.xor(a, c)
+        k = b.and_(zero, y)
+        r = b.reg("r", 4)
+        b.drive_reg(r, k)
+        b.output("out", b.or_(r, a))
+        graph = b.build()
+        analyzer = RedundancyAnalyzer(graph)
+        analyzer.capture_baseline(graph, analyzer.full_analyze(graph))
+        assert {r, k, zero} <= analyzer._b_guard
+        assert not {y, a, c} & analyzer._b_guard
+        view = GraphView(graph)
+        view.set_parent(y, 0, c)
+        view.set_parent(y, 1, a)
+        got = analyzer.analyze(view, touched=[y])
+        assert (analyzer.delta_hits, analyzer.delta_fallbacks) == (1, 0)
+        want = RedundancyAnalyzer(graph).full_analyze(view)
+        assert (got.refs, got.kept, got.rewired, got.live) == (
+            want.refs, want.kept, want.rewired, want.live
+        )
+
+    def test_full_pass_skips_the_confirming_round(self):
+        # Round 1 folds r <= a & 0 after x = r ^ a has read it; round 2
+        # re-reads r and aliases x to a.  x feeds only the output, so
+        # no third round is needed to confirm.
+        b = GraphBuilder("early")
+        a = b.input("a", 4)
+        r = b.reg("r", 4)
+        b.drive_reg(r, b.and_(a, b.const(0, 4)))
+        x = b.xor(r, a)
+        b.output("out", x)
+        graph = b.build()
+        report = analyze_redundancy(graph)
+        assert report.rounds == 2
+        assert report.refs[r] == ("c", 0)
+        assert report.refs[x] == ("n", a, 4)
+
+
 # ---------------------------------------------------------------------------
 class TestIncrementalReward:
     def test_calibrated_to_exact_pcs_at_base(self):

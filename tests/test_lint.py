@@ -386,6 +386,33 @@ class TestSanitizerInjection:
         assert exc.value.diagnostic.provenance["touched"] == touched
         assert exc.value.diagnostic.provenance["overlay_nodes"] == [ids["s"]]
 
+    def test_s009_tampered_early_stop(self):
+        from repro.incr.analysis import RedundancyAnalyzer
+
+        # Round 1 folds r <= a & 0 after x = r ^ a has read the unfolded
+        # r, so x is only settled by round 2.
+        b = GraphBuilder("s009")
+        a = b.input("a", 4)
+        r = b.reg("r", 4)
+        b.drive_reg(r, b.and_(a, b.const(0, 4)))
+        x = b.xor(r, a)
+        b.output("out", x)
+        g = b.build()
+        analyzer = RedundancyAnalyzer(g)
+        sanitizer = Sanitizer()
+        with sanitizing(sanitizer):
+            honest = analyzer.full_analyze(g, touched=[])  # honest: ok
+        assert sanitizer.checks_run == 1
+        assert honest.refs[x] == ("n", a, 4)
+        # Claim no node is read before its own position: the pass stops
+        # after round 1, with x still reading the unfolded r.
+        analyzer._back = frozenset()
+        with pytest.raises(InvariantViolation) as exc:
+            with sanitizing(Sanitizer()):
+                analyzer.full_analyze(g, touched=[])
+        assert exc.value.diagnostic.rule == "S009"
+        assert exc.value.diagnostic.nodes == [x]
+
     def test_checks_subset_restricts_audits(self):
         g, ids = _clean_graph()
         sanitizer = Sanitizer(checks=["S001"])
