@@ -11,9 +11,10 @@ deliberately spans the whole stack:
   :data:`STEADY_SIM_ROUNDS` times per run)
 * ``cone.batch_eval``  -- batched packed-stimulus cone evaluation
 * ``incr.apply_edit``  -- delta re-elaboration of a swap chain
-* ``incr.analyze_delta`` -- dirty-cone redundancy analysis over a swap
-  chain (the delta-mode fixpoint the incremental reward runs per
-  candidate), :data:`ANALYZE_DELTA_ROUNDS` passes per run
+* ``incr.analyze_delta`` -- delta-mode redundancy analysis (the replay
+  the incremental reward runs per candidate) over two swap chains, on
+  ``alu`` and on a ``uart_tx`` descendant whose registers fold,
+  :data:`ANALYZE_DELTA_ROUNDS` passes per run
 * ``mcts.optimize``    -- the Phase 3 search loop (preset reward path)
 * ``lint.graph``       -- the graph-scope diagnostic rules over the corpus
 * ``sanitize.overhead`` -- the incremental search with the runtime
@@ -115,6 +116,65 @@ def _swap_candidates(graph, register, rng, count):
     return candidates
 
 
+def _folded_registers(graph) -> list[int]:
+    """Registers whose full-pass reference is a constant or an alias."""
+    from ..incr.analysis import RedundancyAnalyzer
+
+    refs = RedundancyAnalyzer(graph).full_analyze(graph).refs
+    return [r for r in graph.registers()
+            if refs[r] != ("n", r, graph.node(r).width)]
+
+
+def _analysis_chains(rng):
+    """``(name, base, swap chain)`` workloads of ``incr.analyze_delta``.
+
+    ``alu`` chains around its first register.  The ``uart_tx`` chain
+    starts from the first swap successor in which a register folds and
+    walks that register's cone, so its edits reach a folded register's
+    cone and move register references.
+    """
+    from ..bench_designs import load_design
+
+    alu = load_design("alu")
+    chains = [
+        ("alu", alu, _swap_candidates(alu, alu.registers()[0], rng, 24)[1:])
+    ]
+    uart = load_design("uart_tx")
+    base = next(
+        state
+        for register in uart.registers()
+        for state in _swap_candidates(uart, register, rng, 24)[1:]
+        if _folded_registers(state)
+    ).flatten()
+    register = _folded_registers(base)[0]
+    chains.append(
+        ("uart_tx", base, _swap_candidates(base, register, rng, 24)[1:])
+    )
+    return chains
+
+
+def _edit_mix(base, states, touched) -> dict:
+    """A chain's states, those that move a register's reference, and
+    those that edit inside the cone of a register folded in ``base``."""
+    from ..incr.analysis import RedundancyAnalyzer
+    from ..mcts import driving_cone
+
+    folded = set()
+    for r in _folded_registers(base):
+        folded.update((r, *driving_cone(base, r).interior))
+    analyzer = RedundancyAnalyzer(base)
+    refs = analyzer.full_analyze(base).refs
+    return {
+        "states": len(states),
+        "reg_ref_moves": sum(
+            any(analyzer.full_analyze(state).refs[r] != refs[r]
+                for r in base.registers())
+            for state in states
+        ),
+        "folded_cone_edits": sum(1 for d in touched if folded & set(d)),
+    }
+
+
 def build_suite(config, seed: int = 0) -> list[Benchmark]:
     """Instantiate the standard suite for one resolved scenario config."""
     from ..bench_designs import load_corpus, load_design, reference_designs
@@ -193,26 +253,34 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
             base.apply_edit(candidate)
         return len(candidates)
 
+    analyze_delta_meta: dict = {"designs": ["alu", "uart_tx"]}
+
     def analyze_delta_setup():
         from ..incr.analysis import RedundancyAnalyzer
 
-        graph = load_design("alu")
-        register = graph.registers()[0]
         rng = np.random.default_rng(seed)
-        candidates = _swap_candidates(graph, register, rng, 24)[1:]
-        analyzer = RedundancyAnalyzer(graph)
-        analyzer.capture_baseline(graph, analyzer.full_analyze(graph))
-        # Touched sets are precomputed in setup like the search computes
-        # them from edit provenance: the measured path is the fixpoint.
-        touched = [c.structural_delta(graph) for c in candidates]
-        return analyzer, candidates, touched
+        workloads = []
+        for name, base, candidates in _analysis_chains(rng):
+            analyzer = RedundancyAnalyzer(base)
+            analyzer.capture_baseline(base)
+            # Touched sets are precomputed in setup like the search
+            # computes them from edit provenance: the measured path is
+            # the analysis.
+            touched = [c.structural_delta(base) for c in candidates]
+            analyze_delta_meta[f"{name}_edits"] = _edit_mix(
+                base, candidates, touched
+            )
+            workloads.append((analyzer, candidates, touched))
+        return workloads
 
-    def analyze_delta_run(state):
-        analyzer, candidates, touched = state
+    def analyze_delta_run(workloads):
+        calls = 0
         for _ in range(ANALYZE_DELTA_ROUNDS):
-            for candidate, dirty in zip(candidates, touched):
-                analyzer.analyze(candidate, touched=dirty)
-        return len(candidates) * ANALYZE_DELTA_ROUNDS
+            for analyzer, candidates, touched in workloads:
+                for candidate, dirty in zip(candidates, touched):
+                    analyzer.analyze(candidate, touched=dirty)
+                calls += len(candidates)
+        return calls
 
     # -- MCTS ------------------------------------------------------------
     def mcts_setup():
@@ -396,9 +464,7 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
         Benchmark("incr.apply_edit", incr_setup, incr_run,
                   meta={"design": "alu", "note": "delta re-elaboration"}),
         Benchmark("incr.analyze_delta", analyze_delta_setup,
-                  analyze_delta_run,
-                  meta={"design": "alu",
-                        "note": "dirty-cone fixpoint vs captured baseline"}),
+                  analyze_delta_run, meta=analyze_delta_meta),
         Benchmark("mcts.optimize", mcts_setup, mcts_run, meta=mcts_meta),
         Benchmark("lint.graph", lint_setup, lint_run,
                   meta={"note": "graph-scope rules over the whole corpus"}),

@@ -9,8 +9,8 @@ shares everything else:
 * :class:`DeltaNetlist` -- a base netlist plus a patch set, with
   ``apply_edit`` producing equivalent-netlist deltas in O(dirty cone);
 * :class:`RedundancyAnalyzer` -- the word-level redundancy fixpoint,
-  with a dirty-cone mode re-converged only over an edit's affected
-  cone;
+  with a delta mode that replays a candidate's full pass against the
+  base's recorded rounds, re-evaluating only the nodes that can differ;
 * :class:`IncrementalReward` -- the MCTS reward adapter: memoized
   per-node areas + word-level redundancy analysis, calibrated to exact
   PCS at rebase (``MCTSConfig.incremental`` selects it);

@@ -22,22 +22,22 @@ schema, different wiring -- costs one short fixpoint over the node list.
 
 With a baseline captured (:meth:`RedundancyAnalyzer.capture_baseline`,
 done at every :meth:`~repro.incr.reward.IncrementalReward.rebase`), the
-analyzer additionally runs a *dirty-cone* delta mode: starting from the
-base state's converged references, only the edit's affected cone -- the
-touched nodes from swap provenance plus everything their reference
-changes reach through fanout edges and duplicate-merge aliasing -- is
-re-run through the fixpoint rules; every other node keeps its converged
-value.  The delta mode is exact (bit-identical reports to the full
-fixpoint, enforced by the differential fuzz suite and the ``S007``
-sanitizer rule) because it falls back to the full pass whenever a
-precondition it cannot cheaply re-establish is violated: a register's
-reference moving, an edit reaching the *witness closure* of a
-constant-folded or aliased register (where fixpoints are not unique), or
-the worklist failing to settle within the round budget.  The witness
-closure is what justifies each fold: an absorbing AND/OR/MUL constant,
-or a constant MUX select plus its chosen branch, stands for its node;
-other folded or aliased nodes expand all their parents; self-represented
-nodes close the walk, since any change to their inputs wakes them.
+analyzer also runs a *delta* mode that replays a candidate's own full
+pass against the base state's, recorded round by round.  In round ``r``
+the replay re-evaluates only the touched nodes (swap provenance), the
+readers of a parent whose value as read differs from the base's, and
+the later claimants of a dedup key whose claims changed; every other
+node takes the base's round-``r`` value.  Past the base's last round
+its last round repeats: the stale-back stop left a fixpoint (a base
+that ran out of rounds is run on instead).  Exactness follows by
+induction on (round, position): a node that is not re-evaluated reads
+the same parent values and sees the same earliest claimant of its key
+as in the base's round, so the full pass computes the base's value for
+it; a re-evaluated node is computed by the full pass's own rules from
+the full pass's own reads.  With the full pass's stale-back stop and
+round budget, the replay returns its ``refs``, ``rewired`` and
+``rounds`` -- no guard, no fallback.  The differential fuzz suite and
+the ``S007`` sanitizer rule check the reports against the full pass.
 
 The full pass stops after a round in which no node read by a consumer
 at or before its own evaluation position changed: every read of that
@@ -50,6 +50,9 @@ from __future__ import annotations
 
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from itertools import chain
+from typing import NamedTuple
 
 from ..ir import CircuitGraph, NodeType
 from ..lint.sanitize import current_sanitizer as _current_sanitizer
@@ -64,6 +67,9 @@ _COMMUTATIVE = frozenset((
     NodeType.AND, NodeType.OR, NodeType.XOR, NodeType.ADD, NodeType.MUL,
     NodeType.EQ,
 ))
+
+#: Default round budget of the fixpoint.
+_MAX_ROUNDS = 8
 
 #: Types whose value reference never changes during the fixpoint.
 _FIXED = frozenset((NodeType.IN, NodeType.CONST, NodeType.OUT))
@@ -85,6 +91,21 @@ class RedundancyReport:
     def survivors(self) -> set[int]:
         """Nodes expected to contribute area after synthesis."""
         return (self.kept & self.live) - self.rewired
+
+
+class _Round(NamedTuple):
+    """One round of the base state's full pass, as the replay reads it."""
+
+    #: References after the round.
+    refs: list[Ref]
+    #: The ``rewired`` set after the round.
+    rewired: set[int]
+    #: Dedup key -> the nodes that looked it up, in evaluation order.
+    owners: dict[tuple, list[int]]
+    #: Node -> the ``owners`` list of the key it looked up.
+    claims: dict[int, list[int]]
+    #: Back-nodes whose reference the round changed.
+    changed: tuple[int, ...]
 
 
 def _trunc(ref: Ref, width: int) -> Ref:
@@ -201,150 +222,107 @@ class RedundancyAnalyzer:
         self._back = frozenset(
             self._back_nodes(graph.filled_rows(), self.order)
         )
+        #: Position of every node in ``order``; -1 for IN/CONST/OUT,
+        #: whose references never change.
+        self._posl = [-1] * self.num_nodes
+        for i, v in enumerate(self.order):
+            self._posl[v] = i
         # --- delta-mode baseline (captured explicitly per rebase) ---
-        #: Delta-mode outcome counters; ``delta_fallbacks`` is broken
-        #: down by reason in ``fallback_reasons``.
+        #: Delta-mode outcome counters: replays, touched calls answered
+        #: by the full pass because a divergence disabled the replay, and
+        #: those divergences.
         self.delta_hits = 0
         self.delta_fallbacks = 0
         self.delta_divergences = 0
-        self.fallback_reasons: dict[str, int] = {}
-        self._b_graph: CircuitGraph | None = None
-        self._b_refs: list[Ref] = []
-        self._b_rewired: set[int] = set()
-        #: Converged dedup table: key -> the (unique) self-representative
-        #: node owning it in the baseline state.
-        self._b_owner: dict[tuple, int] = {}
-        #: Owner node -> its baseline dedup key (to detect a dirty owner
-        #: whose reference survives an edit but whose key moved).
-        self._b_key: dict[int, tuple] = {}
-        #: Representative -> baseline nodes whose reference names it
-        #: (dedup aliases and identity pass-throughs); these have no
-        #: graph edge to their representative, so reference changes must
-        #: wake them explicitly.
-        self._b_deps: dict[int, list[int]] = {}
+        #: The base state's full pass, one :class:`_Round` per round;
+        #: ``None`` until :meth:`capture_baseline`.
+        self._trace: list[_Round] | None = None
+        self._b_parents: list[list[int]] = []
         #: The baseline graph's fanout map.
         self._b_children: list[list[int]] = []
-        #: The witness closure of every register whose baseline
-        #: reference folded or aliased.  Such folds can be
-        #: self-sustaining through the register feedback cycle, where
-        #: the fixpoint is not unique; edits reaching this set fall back
-        #: to the full pass.
-        self._b_guard: frozenset[int] = frozenset()
 
     # ------------------------------------------------------------------
     def capture_baseline(
-        self, graph: CircuitGraph, report: RedundancyReport
-    ) -> None:
-        """Snapshot ``report`` (a converged full analysis of ``graph``)
-        as the delta-mode baseline.
+        self, graph: CircuitGraph, report: RedundancyReport | None = None
+    ) -> RedundancyReport:
+        """Run the full pass over ``graph`` (the analyzer's construction
+        graph), record it round by round as the delta-mode baseline, and
+        return its report.
 
-        Derives the converged dedup ownership table, the alias
-        dependents map, and the folded-register guard set; subsequent
-        :meth:`analyze` calls with ``touched`` then re-run the fixpoint
-        only over the edit's affected cone.
-
-        The guard is the folded registers' witness closure, walked over
-        base edges (registers included -- justifications can thread
-        through other folded registers): a folded or aliased node
-        expands only the parents that justify its reference
-        (:meth:`_witness`), and a self-represented node joins without
-        being expanded, because any reference change among its inputs
-        wakes it in the delta pass, which then falls back.
+        Each round keeps its references, ``rewired`` set, dedup claims
+        and changed back-nodes (:class:`_Round`).  Subsequent
+        :meth:`analyze` calls with ``touched`` replay each candidate's
+        own full pass against this trajectory, re-evaluating only the
+        nodes whose inputs or dedup lookups can differ from the base's
+        in that round.  ``report``, when given, must be that pass's
+        report.
         """
-        refs = report.refs
-        parents = graph.filled_rows()
-        owner: dict[tuple, int] = {}
-        keys: dict[int, tuple] = {}
-        deps: dict[int, list[int]] = {}
-        widths = self.widths
-        folded_regs: list[int] = []
-        for v, code, _w, _mask, commutative_v, sig_v, _rw in (
-            self._order_static
+        raw: list[tuple] = []
+        base = self.full_analyze(graph, trace=raw)
+        if report is not None and (
+            report.refs != base.refs or report.rewired != base.rewired
         ):
-            ref = refs[v]
-            if ref[0] == "n":
-                rep = ref[1]
-                if rep == v:
-                    canon = tuple([refs[p] for p in parents[v]])
-                    if commutative_v:
-                        canon = tuple(sorted(canon))
-                    key = (sig_v, canon)
-                    owner[key] = v
-                    keys[v] = key
-                else:
-                    deps.setdefault(rep, []).append(v)
-                    if code == _K_REG:
-                        folded_regs.append(v)
-            elif code == _K_REG:
-                folded_regs.append(v)
-        guard: set[int] = set()
-        stack = folded_regs
-        while stack:
-            v = stack.pop()
-            if v in guard:
-                continue
-            guard.add(v)
-            ref = refs[v]
-            if ref[0] == "n" and ref[1] == v:
-                continue
-            stack.extend(self._witness(v, parents[v], refs))
-        self._b_graph = graph
-        self._b_refs = list(refs)
-        self._b_rewired = set(report.rewired)
-        self._b_owner = owner
-        self._b_key = keys
-        self._b_deps = deps
+            raise ValueError("report is not the full analysis of graph")
+        self._trace = []
+        self._b_parents = graph.filled_rows()
         self._b_children = graph.child_map()
-        self._b_guard = frozenset(guard)
+        self._record(raw)
+        return base
 
-    def _witness(
-        self, v: int, pv: list[int], refs: list[Ref]
-    ) -> list[int]:
-        """The parents that justify folded or aliased ``v``'s reference.
+    def _record(self, raw: list[tuple]) -> None:
+        """Append ``_fixpoint`` trace entries to the baseline trajectory."""
+        trace = self._trace
+        back = self._back
+        for refs, rewired, claims in raw:
+            before = trace[-1].refs if trace else self.init_refs
+            owners: dict[tuple, list[int]] = {}
+            for v, key in claims.items():
+                owners.setdefault(key, []).append(v)
+            changed = tuple(v for v in back if refs[v] != before[v])
+            trace.append(_Round(
+                refs, rewired, owners,
+                {v: owners[key] for v, key in claims.items()}, changed,
+            ))
 
-        An absorbing constant decides an AND/OR/MUL whatever the other
-        operand is, and a constant select reads only its chosen branch;
-        any other fold or alias rests on all of its parents.
+    def _round_past_trace(self) -> _Round:
+        """The base pass's round after its last recorded one.
+
+        A base pass that stopped on the stale-back rule (its last round
+        changed no back-node) is a fixpoint: the next round repeats the
+        last one, reads and claims included.  One that ran out of rounds
+        is run for one more round.
         """
-        code = self.codes[v]
-        if code == _K_MUX:
-            sel = refs[pv[0]]
-            if sel[0] == "c":
-                return [pv[0], pv[1] if sel[1] != 0 else pv[2]]
-        elif code == _K_AND or code == _K_OR or code == _K_MUL:
-            mask = self.masks[v]
-            absorbing = mask if code == _K_OR else 0
-            for p in pv:
-                c = refs[p]
-                if c[0] == "c" and (
-                    c[1] == 0 if code == _K_MUL else c[1] & mask == absorbing
-                ):
-                    return [p]
-        return pv
+        last = self._trace[-1]
+        if not last.changed:
+            return last
+        raw: list[tuple] = []
+        self._fixpoint(self._b_parents, list(last.refs), set(last.rewired),
+                       self._order_static, 1, (), raw)
+        self._record(raw)
+        return self._trace[-1]
 
     # ------------------------------------------------------------------
     def analyze(
         self,
         graph: CircuitGraph,
-        max_rounds: int = 8,
+        max_rounds: int = _MAX_ROUNDS,
         touched: Iterable[int] | None = None,
     ) -> RedundancyReport:
         """Fixpoint constant/alias/duplicate/dead analysis of ``graph``.
 
         ``touched`` (optional) names the nodes whose parents differ from
         the analyzer's construction graph.  With a captured baseline the
-        analysis then runs in delta mode -- the fixpoint re-visits only
-        the affected cone and reuses converged baseline values
-        everywhere else, falling back to the full pass when a delta
-        precondition fails.  Without a baseline, ``touched`` still
-        spares the full pass a whole-graph scan for its early stop.
+        analysis then runs in delta mode, replaying the full pass
+        against the base's trajectory (:meth:`_delta_analyze`); its
+        report equals :meth:`full_analyze`'s with the same ``touched``.
+        Without a baseline, ``touched`` still spares the full pass a
+        whole-graph scan for its early stop.
         """
         # Bulk read-only wiring snapshot: memoized on the graph (and for
         # copy-on-write views derived from the base's snapshot), so one
         # candidate evaluation no longer pays num_nodes method calls.
         parents = graph.filled_rows()
-        if touched is not None and self._b_graph is not None:
-            report = None
+        if touched is not None and self._trace is not None:
             try:
                 report = self._delta_analyze(parents, touched, max_rounds)
             except Exception:
@@ -352,29 +330,33 @@ class RedundancyAnalyzer:
                 # the divergence, flip to the full path for good (the
                 # driver surfaces both via OptimizationReport).
                 self.delta_divergences += 1
-                self._b_graph = None
-            if report is not None:
+                self._trace = None
+            else:
                 self.delta_hits += 1
                 sanitizer = _current_sanitizer()
                 if sanitizer is not None:
                     # S007: delta-mode report vs the full fixpoint.
                     sanitizer.check_analysis(self, graph, touched, report)
                 return report
+        if touched is not None and self.delta_divergences:
+            self.delta_fallbacks += 1
         return self.full_analyze(graph, max_rounds=max_rounds,
                                  touched=touched, parents=parents)
 
     def full_analyze(
         self,
         graph: CircuitGraph,
-        max_rounds: int = 8,
+        max_rounds: int = _MAX_ROUNDS,
         touched: Iterable[int] | None = None,
         parents: list[list[int]] | None = None,
+        trace: list[tuple] | None = None,
     ) -> RedundancyReport:
         """The full (non-delta) fixpoint over every node.
 
         ``touched`` names the nodes whose parents may differ from the
         construction graph; without it the early-stop set is re-derived
-        from every edge.
+        from every edge.  ``trace`` receives the rounds (see
+        :meth:`_fixpoint`).
         """
         if parents is None:
             parents = graph.filled_rows()
@@ -386,7 +368,8 @@ class RedundancyAnalyzer:
             # A superset suffices: an extra node only costs a round.
             back = self._back.union(self._back_nodes(parents, touched))
         rounds, early = self._fixpoint(
-            parents, refs, rewired, self._order_static, max_rounds, back
+            parents, refs, rewired, self._order_static, max_rounds, back,
+            trace,
         )
         if early:
             sanitizer = _current_sanitizer()
@@ -412,91 +395,81 @@ class RedundancyAnalyzer:
                     back.add(p)
         return back
 
-    def _delta_fallback(self, reason: str) -> None:
-        self.delta_fallbacks += 1
-        self.fallback_reasons[reason] = (
-            self.fallback_reasons.get(reason, 0) + 1
-        )
-        return None
-
     def _delta_analyze(
         self,
         parents: list[list[int]],
         touched: Iterable[int],
         max_rounds: int,
-    ) -> RedundancyReport | None:
-        """Dirty-cone fixpoint from the converged baseline.
+    ) -> RedundancyReport:
+        """The candidate's full pass, replayed against the base's.
 
-        Returns ``None`` (recording the reason) whenever a precondition
-        for bit-identity with the full pass cannot be re-established:
-
-        * a touched or woken node lies in the folded-register guard set
-          (register-feedback fixpoints are not unique there);
-        * a register's reference moves off its baseline value (the
-          register boundary must stay pinned for the combinational part
-          to have a unique grounded fixpoint);
-        * the worklist has not settled within ``max_rounds``.
-
-        Everything else mirrors the full pass exactly: the rule
-        dispatch is a copy of :meth:`_fixpoint`'s (the differential
-        fuzz suite pins the two against each other), and duplicate
-        merging resolves each key to the earliest-in-order claimant
-        among this round's dirty claimants and the still-clean baseline
-        owner.
+        Round ``r`` re-evaluates, in position order, the touched nodes,
+        the readers of a parent whose value as read differs from the
+        base's (this round's value for an earlier parent, the previous
+        round's for a same-or-later one) and the later claimants of a
+        dedup key whose claims changed; every other node takes the
+        base's round-``r`` value.  The rule dispatch is a copy of
+        :meth:`_fixpoint`'s reading parent values from ``vals``; a
+        lookup resolves to the earliest of this round's re-evaluated
+        claimants and the base's claimants that were not re-evaluated.
+        The stale-back stop uses the full pass's ``back`` set, so the
+        replay returns its ``refs``, ``rewired`` and ``rounds``.
         """
-        pos = self._pos
-        guard = self._b_guard
-        dirty: set[int] = set()
-        for v in touched:
-            if v in guard:
-                return self._delta_fallback("folded_reg_cone")
-            if v in pos:
-                dirty.add(v)
-        b_refs = self._b_refs
-        refs = list(b_refs)
-        rewired = set(self._b_rewired)
-        if not dirty:
-            # Only IN/CONST/OUT rows changed: references are fixed
-            # there, but liveness still follows the new wiring.
-            return self._report(parents, refs, rewired, 0)
+        trace = self._trace
+        posl = self._posl
+        order = self._order_static
         types, widths = self.types, self.widths
-        codes, masks = self.codes, self.masks
-        commutative, static_sig = self.commutative, self.static_sig
-        static_rewired = self.static_rewired
-        owner_by_key = self._b_owner
-        b_key = self._b_key
-        b_deps = self._b_deps
-        # Fanout through base edges: a node whose own parents changed is
-        # touched, hence dirty from the start, so the base map wakes
-        # exactly the consumers the candidate's map would.
         children = self._b_children
-        rounds = 0
-        converged = False
-        for rounds in range(1, max_rounds + 1):
-            changed = False
-            dirty_seen: dict[tuple, tuple[int, Ref]] = {}
-            pending: list[int] = []
-            for v in sorted(dirty, key=pos.__getitem__):
-                code = codes[v]
-                w = widths[v]
-                mask = masks[v]
-                commutative_v = commutative[v]
-                sig_v = static_sig[v]
+        back = self._back
+        touched_pos: list[int] = []
+        # Back-nodes of the candidate's full pass missing from ``back``.
+        extra: set[int] = set()
+        for v in touched:
+            q = posl[v]
+            if q >= 0:
+                touched_pos.append(q)
+                for p in parents[v]:
+                    if posl[p] >= q and p not in back:
+                        extra.add(p)
+        prev = self.init_refs
+        prev_diff: set[int] = set()
+        carry: list[int] = []
+        for r in range(1, max_rounds + 1):
+            base = (trace[r - 1] if r <= len(trace)
+                    else self._round_past_trace())
+            b_refs, b_rewired = base.refs, base.rewired
+            b_owners, b_claims = base.owners, base.claims
+            cur = list(b_refs)
+            diff: set[int] = set()
+            flips: set[int] = set()
+            done: set[int] = set()
+            # key -> (position, ref) of this round's first re-evaluated
+            # claimant that found no earlier claimant.
+            claimed: dict[tuple, tuple[int, Ref]] = {}
+            heap = touched_pos + carry
+            heapify(heap)
+            carry = []
+            while heap:
+                q = heappop(heap)
+                if q in done:
+                    continue
+                done.add(q)
+                v, code, w, mask, commutative_v, sig_v, rewire = order[q]
                 pv = parents[v]
+                vals = [prev[p] if posl[p] >= q else cur[p] for p in pv]
                 ref = None
-                rewire = v in static_rewired
 
                 if code == _K_REG:
                     if pv:
-                        d = refs[pv[0]]
+                        d = vals[0]
                         if d[0] == "c":
                             ref = ("c", d[1] & mask)
                         elif d[1] == v:
                             ref = ("c", 0)
                 elif code == _K_MUX:
-                    sel = refs[pv[0]]
-                    a = refs[pv[1]]
-                    b = refs[pv[2]]
+                    sel = vals[0]
+                    a = vals[1]
+                    b = vals[2]
                     if sel[0] == "c":
                         if a[0] == "c" and b[0] == "c":
                             ref = ("c",
@@ -506,20 +479,19 @@ class RedundancyAnalyzer:
                     elif a == b:
                         ref = _trunc(a, w)
                 elif code == _K_UNARY:
-                    a = refs[pv[0]]
+                    a = vals[0]
                     if a[0] == "c":
                         ref = ("c", self._fold(v, types[v], w,
                                                [a[1]], None) & mask)
                 elif code == _K_WIRE:
-                    consts = [refs[p][1] for p in pv
-                              if refs[p][0] == "c"]
+                    consts = [c[1] for c in vals if c[0] == "c"]
                     if len(consts) == len(pv):
                         pwidths = [widths[p] for p in pv]
                         ref = ("c", self._fold(v, types[v], w,
                                                consts, pwidths) & mask)
                 else:
-                    a = refs[pv[0]]
-                    b = refs[pv[1]]
+                    a = vals[0]
+                    b = vals[1]
                     ca = a[1] if a[0] == "c" else None
                     cb = b[1] if b[0] == "c" else None
                     if ca is not None and cb is not None:
@@ -581,75 +553,59 @@ class RedundancyAnalyzer:
                             else:
                                 rewire = True
 
+                owners = None
                 if ref is None:
                     ref = ("n", v, w)
-                    canon = tuple([refs[p] for p in pv])
+                    canon = tuple(vals)
                     if commutative_v:
                         canon = tuple(sorted(canon))
                     key = (sig_v, canon)
-                    # Earliest-in-order claimant wins: dirty claimants
-                    # from this round vs the baseline owner (valid only
-                    # while it stayed clean -- dirty owners re-claim
-                    # through dirty_seen like everyone else).
-                    u = owner_by_key.get(key)
-                    best: tuple[int, Ref] | None = None
-                    if u is not None and u != v and u not in dirty:
-                        best = (pos[u], b_refs[u])
-                    d_claim = dirty_seen.get(key)
-                    if d_claim is not None and (
-                        best is None or d_claim[0] < best[0]
-                    ):
-                        best = d_claim
-                    if best is not None and best[0] < pos[v]:
-                        ref = _trunc(best[1], w)
+                    prior = claimed.get(key) if claimed else None
+                    owners = b_owners.get(key)
+                    for u in owners or ():
+                        pu = posl[u]
+                        if pu >= q:
+                            break
+                        if pu not in done:
+                            if prior is None or pu < prior[0]:
+                                prior = (pu, ("n", u, widths[u]))
+                            break
+                    if prior is not None:
+                        ref = _trunc(prior[1], w)
                     else:
-                        dirty_seen[key] = (pos[v], ref)
-                        if (u is not None and u != v and u not in dirty
-                                and pos[u] > pos[v]):
-                            # A later clean owner is displaced by this
-                            # claim; it must re-resolve to an alias.
-                            pending.append(u)
-                        old_key = b_key.get(v)
-                        if old_key is not None and old_key != key:
-                            # v still represents itself but under a new
-                            # key: baseline aliases keyed on the old one
-                            # must re-resolve even though v's reference
-                            # (their rule input) did not change.
-                            deps = b_deps.get(v)
-                            if deps:
-                                pending.extend(deps)
+                        claimed[key] = (q, ref)
+                b_own = b_claims.get(v)
+                if owners is not b_own:
+                    # v's claim differs from its base claim: the later
+                    # base claimants of the key it left and of the key
+                    # it joined may resolve otherwise.
+                    for own in (owners, b_own):
+                        for u in own or ():
+                            if posl[u] > q:
+                                heappush(heap, posl[u])
 
-                if refs[v] != ref:
-                    if code == _K_REG:
-                        # The register boundary must stay pinned to the
-                        # baseline for the delta pass to share the full
-                        # pass's (unique) grounded fixpoint.
-                        return self._delta_fallback("reg_ref_changed")
-                    refs[v] = ref
-                    changed = True
-                    pending.extend(children[v])
-                    deps = b_deps.get(v)
-                    if deps:
-                        pending.extend(deps)
-                if rewire != (v in rewired):
-                    changed = True
-                    if rewire:
-                        rewired.add(v)
-                    else:
-                        rewired.discard(v)
-            grew = False
-            for u in pending:
-                if u in guard:
-                    return self._delta_fallback("folded_reg_cone")
-                if u in pos and u not in dirty:
-                    dirty.add(u)
-                    grew = True
-            if not changed and not grew:
-                converged = True
+                if ref != b_refs[v]:
+                    cur[v] = ref
+                    diff.add(v)
+                    for c in children[v]:
+                        pc = posl[c]
+                        if pc > q:
+                            heappush(heap, pc)
+                        elif pc >= 0:
+                            carry.append(pc)
+                if rewire != (v in b_rewired):
+                    flips.add(v)
+            # The full pass's stop: did a node of its ``back`` change?
+            # Outside these candidates cur and prev both hold the base's
+            # values, which changed at no back-node outside base.changed.
+            stale = any(
+                cur[v] != prev[v] and (v in back or v in extra)
+                for v in chain(base.changed, extra, diff, prev_diff)
+            )
+            if not stale or r == max_rounds:
                 break
-        if not converged:
-            return self._delta_fallback("no_convergence")
-        return self._report(parents, refs, rewired, rounds)
+            prev, prev_diff = cur, diff
+        return self._report(parents, cur, b_rewired ^ flips, r)
 
     def _report(
         self,
@@ -675,6 +631,7 @@ class RedundancyAnalyzer:
         order: list[tuple],
         max_rounds: int,
         back: Container[int],
+        trace: list[tuple] | None = None,
     ) -> tuple[int, bool]:
         """Run rule rounds over ``order`` until stable; mutates
         ``refs`` / ``rewired`` in place, returns ``(rounds, early)``.
@@ -684,14 +641,19 @@ class RedundancyAnalyzer:
         changed its reference: every read of that round then already
         saw its final value, so the next round would recompute it
         unchanged.  ``early`` says the last round changed something, so
-        that confirming round was skipped.
+        that confirming round was skipped.  ``trace``, when given,
+        receives one ``(refs, rewired, claims)`` entry per round: copies
+        of the state after it and the dedup key each node looked up.
         """
         types, widths = self.types, self.widths
         rounds = 0
+        claims: dict[int, tuple] | None = None
         for rounds in range(1, max_rounds + 1):
             changed = False
             stale = False
             seen: dict[tuple, Ref] = {}
+            if trace is not None:
+                claims = {}
             for v, code, w, mask, commutative_v, sig_v, static_rw in order:
                 pv = parents[v]
                 ref = None
@@ -810,6 +772,8 @@ class RedundancyAnalyzer:
                         ref = _trunc(prior, w)
                     else:
                         seen[key] = ref
+                    if claims is not None:
+                        claims[v] = key
 
                 if refs[v] != ref:
                     refs[v] = ref
@@ -822,6 +786,8 @@ class RedundancyAnalyzer:
                         rewired.add(v)
                     else:
                         rewired.discard(v)
+            if trace is not None:
+                trace.append((list(refs), set(rewired), claims))
             if not stale:
                 return rounds, changed
         return rounds, False
@@ -900,7 +866,7 @@ class RedundancyAnalyzer:
 
 
 def analyze_redundancy(
-    graph: CircuitGraph, max_rounds: int = 8
+    graph: CircuitGraph, max_rounds: int = _MAX_ROUNDS
 ) -> RedundancyReport:
     """One-shot convenience wrapper around :class:`RedundancyAnalyzer`."""
     return RedundancyAnalyzer(graph).analyze(graph, max_rounds=max_rounds)

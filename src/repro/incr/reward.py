@@ -100,10 +100,11 @@ class IncrementalReward:
     value instead of re-synthesizing.
 
     ``delta`` is the differential-test switch: ``True`` scores candidates
-    with the analyzer's dirty-cone fixpoint (baseline captured at each
-    rebase) and pairs the search with a :class:`DeltaOracle`; ``False``
-    keeps the full fixpoint and a fresh-synthesis oracle -- the
-    reference path both shortcuts are checked against.
+    with the analyzer's replay of the full pass (baseline trajectory
+    captured at each rebase) and pairs the search with a
+    :class:`DeltaOracle`; ``False`` keeps the full fixpoint and a
+    fresh-synthesis oracle -- the reference path both shortcuts are
+    checked against.
     """
 
     def __init__(
@@ -122,11 +123,10 @@ class IncrementalReward:
         self.rebases = 0
         #: Delta-analysis outcomes accumulated across rebases (each
         #: rebase builds a fresh analyzer; its counters are absorbed
-        #: here before it is replaced): hits, divergences and the
-        #: fallbacks by reason.
+        #: here before it is replaced).
         self.analysis_delta_hits = 0
+        self.analysis_fallbacks = 0
         self.analysis_divergences = 0
-        self.analysis_fallback_reasons: dict[str, int] = {}
         self.base_pcs: float | None = None
         self._base_graph: CircuitGraph | None = None
         self._base: DeltaNetlist | None = None
@@ -175,8 +175,8 @@ class IncrementalReward:
         # DeltaOracle; the scoring path works entirely from the per-node
         # area memo, so it is built lazily.
         self._base = None
-        (self.analysis_delta_hits, _, self.analysis_divergences,
-         self.analysis_fallback_reasons) = self.analysis_counters()
+        (self.analysis_delta_hits, self.analysis_fallbacks,
+         self.analysis_divergences) = self.analysis_counters()
         self._analyzer = RedundancyAnalyzer(graph, share_from=self._analyzer)
         self.base_pcs = exact_pcs
         # The (node, operand widths) -> area memo depends only on the
@@ -200,28 +200,28 @@ class IncrementalReward:
             else:
                 base_area[node.id] = 0.0
         self._base_area = base_area
-        base_report = self._analyzer.analyze(graph)
         if self.delta:
-            # Anchor the analyzer's dirty-cone mode on this converged
-            # base state; candidate scoring then re-runs the fixpoint
-            # only over each edit's affected cone.
-            self._analyzer.capture_baseline(graph, base_report)
+            # Record this base state's full pass round by round;
+            # candidate scoring then replays each candidate's pass
+            # against it, re-evaluating only the nodes that can differ.
+            base_report = self._analyzer.capture_baseline(graph)
+        else:
+            base_report = self._analyzer.analyze(graph)
         estimate = self._area_of(base_report)
         self._scale = exact_pcs * graph.num_nodes / estimate if estimate else 1.0
 
-    def analysis_counters(self) -> tuple[int, int, int, dict[str, int]]:
-        """(delta hits, fallbacks, divergences, fallbacks by reason)
-        including the live analyzer's tallies."""
+    def analysis_counters(self) -> tuple[int, int, int]:
+        """(delta hits, fallbacks, divergences) including the live
+        analyzer's tallies."""
         hits = self.analysis_delta_hits
+        fallbacks = self.analysis_fallbacks
         divergences = self.analysis_divergences
-        reasons = dict(self.analysis_fallback_reasons)
         analyzer = self._analyzer
         if analyzer is not None:
             hits += analyzer.delta_hits
+            fallbacks += analyzer.delta_fallbacks
             divergences += analyzer.delta_divergences
-            for reason, n in analyzer.fallback_reasons.items():
-                reasons[reason] = reasons.get(reason, 0) + n
-        return hits, sum(reasons.values()), divergences, reasons
+        return hits, fallbacks, divergences
 
     # ------------------------------------------------------------------
     def _area_of(

@@ -63,9 +63,9 @@ class MCTSConfig:
     ``delta`` is the one switch between the incremental engine's
     shortcuts and their reference paths (see
     :class:`~repro.incr.IncrementalReward`).  ``True`` routes the
-    redundancy fixpoint through the analyzer's dirty-cone mode (baseline
-    captured at each rebase, re-converged only over the edit's affected
-    cone) and rebuilds the acceptance oracle on the delta substrate
+    redundancy fixpoint through the analyzer's delta mode (the base's
+    full pass recorded at each rebase, each candidate's pass replayed
+    against it) and rebuilds the acceptance oracle on the delta substrate
     (:class:`~repro.incr.DeltaOracle`: candidate netlists materialized
     from the engine's delta lineage instead of a fresh re-elaboration).
     ``False`` runs the full fixpoint and a fresh-synthesis oracle -- the
@@ -156,16 +156,14 @@ class OptimizationReport:
     reward_rebases: int = 0
     #: Improved cone states rejected by the functional-equivalence gate.
     equivalence_rejections: int = 0
-    #: Dirty-cone redundancy-analysis outcomes (delta-mode analyze calls
-    #: that reused the baseline / fell back to the full fixpoint / hit an
-    #: unexpected exception and disabled the shortcut).  All zero when
-    #: ``delta`` is off or the incremental engine is not used.
+    #: Delta-mode redundancy-analysis outcomes (analyze calls replayed
+    #: against the base's trajectory / answered by the full fixpoint
+    #: after a divergence disabled the replay / unexpected exceptions
+    #: that disabled it).  All zero when ``delta`` is off or the
+    #: incremental engine is not used.
     analysis_delta_hits: int = 0
     analysis_fallbacks: int = 0
     analysis_divergences: int = 0
-    #: ``analysis_fallbacks`` by reason (``folded_reg_cone``,
-    #: ``reg_ref_changed``, ``no_convergence``), across every rebase.
-    analysis_fallback_reasons: dict[str, int] = field(default_factory=dict)
     #: Delta-substrate oracle outcomes (candidates scored from a
     #: materialized delta netlist / via fresh elaboration / divergences
     #: that flipped the oracle to the reference path).  All zero when
@@ -194,8 +192,7 @@ class OptimizationReport:
 
 
 #: Report fields mirrored into the process-wide metrics registry as
-#: ``repro_<field>_total`` counters at the end of every search (plus one
-#: ``repro_analysis_fallbacks_<reason>_total`` per fallback reason).
+#: ``repro_<field>_total`` counters at the end of every search.
 #: The registry is the aggregated source surfaces like ``GET /metrics``
 #: read; the per-run report keeps the same numbers scoped to one call.
 _PUBLISHED_COUNTERS = (
@@ -216,8 +213,6 @@ def _publish_metrics(report: OptimizationReport) -> None:
         value = getattr(report, name)
         if value:
             reg.counter(f"{name}_total").inc(value)
-    for reason, value in sorted(report.analysis_fallback_reasons.items()):
-        reg.counter(f"analysis_fallbacks_{reason}_total").inc(value)
 
 
 def _resolve_search_rewards(config: MCTSConfig, reward_fn: RewardFn | None):
@@ -440,7 +435,7 @@ def _search_registers(
                       interior=len(cone.interior)) as cone_span:
                 result = arm(current, cone, counted_reward)
                 cone_span.add(simulations=result.simulations,
-                              improved=result.improved)
+                              improved=result.improved, **result.split_ms)
             report.cone_results[cone.register] = result
             if sanitizer is not None and result.improved:
                 # S001: the search's best state sits at the end of the
@@ -537,8 +532,7 @@ def _search_registers(
         report.reward_patches = incremental.patches
         report.reward_rebases = incremental.rebases
         (report.analysis_delta_hits, report.analysis_fallbacks,
-         report.analysis_divergences,
-         report.analysis_fallback_reasons) = incremental.analysis_counters()
+         report.analysis_divergences) = incremental.analysis_counters()
     oracle_counters = getattr(oracle, "counters", None)
     if oracle_counters is not None:
         (report.oracle_delta_hits, report.oracle_fallbacks,

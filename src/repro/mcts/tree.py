@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
 
 from ..ir import CircuitGraph
+from ..obs import current_recorder
 from .actions import Swap, SwapIndex, apply_swap
 from .cones import Cone
 
@@ -46,6 +48,10 @@ class ConeSearchResult:
     initial_reward: float
     simulations: int
     rewards_seen: list[float] = field(default_factory=list)
+    #: Milliseconds spent in the reward, ``apply_swap`` and
+    #: ``SwapIndex.sample`` (``reward_ms`` / ``apply_swap_ms`` /
+    #: ``sample_ms``); measured only while a trace recorder is active.
+    split_ms: dict[str, float] = field(default_factory=dict)
 
     @property
     def improved(self) -> bool:
@@ -77,7 +83,13 @@ class MCTSOptimizer:
         # states inherit and patch their predecessor's cone-local edge
         # list instead of re-scanning every edge per sample call.
         index = SwapIndex([cone.register, *cone.interior])
-        root = self._make_node(graph, cone, depth=0, index=index)
+        reward_fn, swap, sample = self.reward_fn, apply_swap, index.sample
+        split: dict[str, float] = {}
+        if current_recorder() is not None:
+            reward_fn = _timed(reward_fn, split, "reward_ms")
+            swap = _timed(swap, split, "apply_swap_ms")
+            sample = _timed(sample, split, "sample_ms")
+        root = self._make_node(graph, cone, 0, reward_fn, sample)
         best_graph, best_reward = root.graph, root.reward
         rewards_seen = [root.reward]
 
@@ -90,30 +102,30 @@ class MCTSOptimizer:
                 path.append(node)
             # Expansion.
             if node.untried and node.depth < self.max_depth:
-                swap = node.untried.pop(
+                action = node.untried.pop(
                     int(self.rng.integers(0, len(node.untried)))
                 )
-                child_graph = apply_swap(node.graph, swap)
+                child_graph = swap(node.graph, action)
                 if child_graph is not None:
                     child = self._make_node(
-                        child_graph, cone, node.depth + 1, index
+                        child_graph, cone, node.depth + 1, reward_fn, sample
                     )
                     child.parent = node
-                    node.children[swap] = child
+                    node.children[action] = child
                     node = child
                     path.append(node)
             # Simulation: random rollout, tracking the max reward.
             max_reward = max(n.reward for n in path)
             rollout_graph = node.graph
             for _ in range(self.max_depth - node.depth):
-                swaps = index.sample(rollout_graph, self.rng, 1)
+                swaps = sample(rollout_graph, self.rng, 1)
                 if not swaps:
                     break
-                nxt = apply_swap(rollout_graph, swaps[0])
+                nxt = swap(rollout_graph, swaps[0])
                 if nxt is None:
                     continue
                 rollout_graph = nxt
-                r = self.reward_fn(rollout_graph, cone)
+                r = reward_fn(rollout_graph, cone)
                 rewards_seen.append(r)
                 if r > max_reward:
                     max_reward = r
@@ -135,6 +147,7 @@ class MCTSOptimizer:
             initial_reward=root.reward,
             simulations=self.num_simulations,
             rewards_seen=rewards_seen,
+            split_ms=split,
         )
 
     # ------------------------------------------------------------------
@@ -143,10 +156,11 @@ class MCTSOptimizer:
         graph: CircuitGraph,
         cone: Cone,
         depth: int,
-        index: SwapIndex,
+        reward_fn: RewardFn,
+        sample: Callable[..., list[Swap]],
     ) -> _TreeNode:
-        reward = self.reward_fn(graph, cone)
-        untried = index.sample(graph, self.rng, self.branching)
+        reward = reward_fn(graph, cone)
+        untried = sample(graph, self.rng, self.branching)
         return _TreeNode(graph=graph, reward=reward, depth=depth, untried=untried)
 
     def _select_ucb1(self, node: _TreeNode) -> _TreeNode:
@@ -162,3 +176,17 @@ class MCTSOptimizer:
                 best_score, best_child = score, child
         assert best_child is not None
         return best_child
+
+
+def _timed(fn: Callable, totals: dict[str, float], name: str) -> Callable:
+    """``fn`` adding its wall milliseconds to ``totals[name]``."""
+    totals[name] = 0.0
+
+    def timed(*args):
+        start = perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            totals[name] += (perf_counter() - start) * 1e3
+
+    return timed

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 import pytest
-from fuzz_harness import packed_by_name, swap_chain
+from fuzz_harness import packed_by_name, swap_chain, touched_since
 
 from repro.bench_designs import load_design
 from repro.incr import (
@@ -28,8 +28,9 @@ from repro.incr import (
     IncrementalReward,
     analyze_redundancy,
 )
-from repro.ir import GraphBuilder, NodeType, validate
-from repro.mcts import MCTSConfig, optimize_registers
+from repro.incr.analysis import RedundancyAnalyzer
+from repro.ir import GraphBuilder, GraphView, NodeType, validate
+from repro.mcts import MCTSConfig, all_cones, optimize_registers
 from repro.synth import elaborate, synthesize
 from repro.synth.timing import total_area
 
@@ -185,6 +186,27 @@ class TestDeltaOracle:
 
 
 # ---------------------------------------------------------------------------
+def _assert_replay_exact(graph, cases):
+    """Each ``(state, touched)`` replays to ``full_analyze``'s report.
+
+    ``refs``, ``kept``, ``rewired``, ``live`` and ``rounds`` all equal
+    the full pass with the same ``touched``, and no call leaves the
+    replay.  Returns the analyzer holding the captured baseline.
+    """
+    analyzer = RedundancyAnalyzer(graph)
+    analyzer.capture_baseline(graph, analyzer.full_analyze(graph))
+    reference = RedundancyAnalyzer(graph)
+    for state, touched in cases:
+        got = analyzer.analyze(state, touched=touched)
+        want = reference.full_analyze(state, touched=touched)
+        assert (got.refs, got.kept, got.rewired, got.live, got.rounds) == (
+            want.refs, want.kept, want.rewired, want.live, want.rounds
+        ), f"{graph.name} touched={touched}"
+    assert analyzer.delta_hits == len(cases)
+    assert (analyzer.delta_fallbacks, analyzer.delta_divergences) == (0, 0)
+    return analyzer
+
+
 class TestRedundancyAnalysis:
     def test_folds_mirror_gate_level_optimizer(self):
         graph = redundant_design()
@@ -228,12 +250,9 @@ class TestRedundancyAnalysis:
         assert graph.registers()[0] not in survivors  # swept via fold
 
 
-    def test_witness_guard_leaves_non_witness_fan_in_out(self):
-        # r <= 0 & (a ^ c): the absorbing constant alone justifies the
-        # fold, so an edit inside the XOR's fan-in is a delta hit.
-        from repro.incr.analysis import RedundancyAnalyzer
-        from repro.ir import GraphView
-
+    def test_replay_inside_a_folded_register_cone(self):
+        # r <= 0 & (a ^ c) folds; edits to the XOR's fan-in and to the
+        # absorbing AND itself both replay to the full pass's report.
         b = GraphBuilder("witness")
         a = b.input("a", 4)
         c = b.input("c", 4)
@@ -244,19 +263,120 @@ class TestRedundancyAnalysis:
         b.drive_reg(r, k)
         b.output("out", b.or_(r, a))
         graph = b.build()
-        analyzer = RedundancyAnalyzer(graph)
-        analyzer.capture_baseline(graph, analyzer.full_analyze(graph))
-        assert {r, k, zero} <= analyzer._b_guard
-        assert not {y, a, c} & analyzer._b_guard
-        view = GraphView(graph)
-        view.set_parent(y, 0, c)
-        view.set_parent(y, 1, a)
-        got = analyzer.analyze(view, touched=[y])
-        assert (analyzer.delta_hits, analyzer.delta_fallbacks) == (1, 0)
-        want = RedundancyAnalyzer(graph).full_analyze(view)
-        assert (got.refs, got.kept, got.rewired, got.live) == (
-            want.refs, want.kept, want.rewired, want.live
+        swapped = GraphView(graph)
+        swapped.set_parent(y, 0, c)
+        swapped.set_parent(y, 1, a)
+        unfolded = GraphView(graph)
+        unfolded.set_parent(k, 0, a)      # r <= a & (a ^ c): unfolds r
+        analyzer = _assert_replay_exact(
+            graph, [(swapped, [y]), (unfolded, [k])]
         )
+        assert analyzer._trace[-1].refs[r] == ("c", 0)
+
+    def test_replay_on_the_early_stop_design(self):
+        # Round 1 folds r <= a & 0 after x = r ^ a has read it; edits
+        # that unfold r (its reference moves), rewire x, or both.
+        b = GraphBuilder("early")
+        a = b.input("a", 4)
+        c = b.input("c", 4)
+        zero = b.const(0, 4)
+        r = b.reg("r", 4)
+        k = b.and_(a, zero)
+        b.drive_reg(r, k)
+        x = b.xor(r, a)
+        b.output("out", x)
+        b.output("out2", b.or_(c, a))
+        graph = b.build()
+        moved = GraphView(graph)
+        moved.set_parent(k, 1, c)         # r <= a & c
+        xr = GraphView(graph)
+        xr.set_parent(x, 1, c)            # x = r ^ c
+        both = GraphView(graph)
+        both.set_parent(k, 1, a)          # r <= a & a, x = r ^ r
+        both.set_parent(x, 1, r)
+        analyzer = _assert_replay_exact(
+            graph, [(moved, [k]), (xr, [x]), (both, [k, x])]
+        )
+        base = analyzer._trace[-1].refs
+        assert base[r] == ("c", 0)
+        assert analyzer.full_analyze(moved).refs[r] == ("n", r, 4)
+
+    def test_replay_runs_past_an_unsettled_base(self):
+        # A ten-register ladder r[i+1] <= r[i] & a with r0 <= a & 0
+        # folds one register per round, so the base's 8-round pass ends
+        # unsettled; a 16-round replay runs the base on to match.
+        b = GraphBuilder("ladder")
+        a = b.input("a", 4)
+        c = b.input("c", 4)
+        regs = [b.reg(f"r{i}", 4) for i in range(10)]
+        b.drive_reg(regs[0], b.and_(a, b.const(0, 4)))
+        ands = []
+        for i in range(9):
+            ands.append(b.and_(regs[i], a))
+            b.drive_reg(regs[i + 1], ands[-1])
+        b.output("out", b.xor(regs[-1], c))
+        graph = b.build()
+        analyzer = RedundancyAnalyzer(graph)
+        analyzer.capture_baseline(graph)
+        assert len(analyzer._trace) == 8 and analyzer._trace[-1].changed
+        for k in (ands[0], ands[5]):
+            view = GraphView(graph)
+            view.set_parent(k, 1, c)
+            got = analyzer.analyze(view, max_rounds=16, touched=[k])
+            want = RedundancyAnalyzer(graph).full_analyze(
+                view, max_rounds=16, touched=[k]
+            )
+            assert (got.refs, got.rewired, got.rounds) == (
+                want.refs, want.rewired, want.rounds
+            )
+            assert got.rounds > 8
+        assert analyzer.delta_hits == 2
+
+    def test_replay_on_uart_tx_cone_chains(self):
+        # Chains around every cone of uart_tx, then of a descendant
+        # whose registers fold: edits that move a register's reference
+        # and edits inside a folded register's cone, both of which the
+        # dirty-cone analysis used to send to the full fixpoint.
+        graph = load_design("uart_tx")
+        regs = graph.registers()
+
+        def cone_chains(base, seeds):
+            states = []
+            for cone in all_cones(base):
+                if cone.interior:
+                    anchor = [cone.register, *cone.interior]
+                    for seed in seeds:
+                        rng = np.random.default_rng(seed)
+                        states += swap_chain(base, rng, 6, anchor=anchor)
+            return states
+
+        def folded(state):
+            refs = RedundancyAnalyzer(state).full_analyze(state).refs
+            return [v for v in regs
+                    if refs[v] != ("n", v, state.node(v).width)]
+
+        first = cone_chains(graph, range(2))
+        _assert_replay_exact(
+            graph, [(s, touched_since(s, graph)) for s in first]
+        )
+        base_refs = RedundancyAnalyzer(graph).full_analyze(graph).refs
+        assert any(
+            RedundancyAnalyzer(graph).full_analyze(s).refs[v] != base_refs[v]
+            for s in first for v in regs
+        )
+        base = next(s for s in first if folded(s)).flatten()
+        folded_regs = folded(base)
+        second = cone_chains(base, range(2))
+        _assert_replay_exact(
+            base, [(s, touched_since(s, base)) for s in second]
+        )
+        reached = set()
+        for cone in all_cones(base):
+            if cone.register in folded_regs:
+                reached.update(cone.interior)
+                reached.add(cone.register)
+        assert any(reached.intersection(touched_since(s, base))
+                   for s in second)
 
     def test_full_pass_skips_the_confirming_round(self):
         # Round 1 folds r <= a & 0 after x = r ^ a has read it; round 2

@@ -371,13 +371,13 @@ class TestSanitizerInjection:
         with sanitizing(Sanitizer()):
             analyzer.analyze(view, touched=touched)  # honest: ok
         assert analyzer.delta_hits == 1 and analyzer.delta_divergences == 0
-        # Corrupt a converged baseline ref *outside* the dirty cone: the
-        # delta overlay reuses it verbatim, diverging from the full
-        # fixpoint the sanitizer re-runs.  (The OUT node, specifically:
-        # a corrupt ref *upstream* of a register trips the analyzer's
-        # own reg_ref_changed fallback and never reaches the report.)
+        # Corrupt the recorded trajectory at a node the replay never
+        # re-evaluates (the OUT node): the replay takes the base's
+        # value there verbatim, diverging from the full fixpoint the
+        # sanitizer re-runs.
         out = g.outputs()[0]
-        analyzer._b_refs[out] = analyzer._b_refs[ids["r"]]
+        for base_round in analyzer._trace:
+            base_round.refs[out] = base_round.refs[ids["r"]]
         with pytest.raises(InvariantViolation) as exc:
             with sanitizing(Sanitizer()):
                 analyzer.analyze(view, touched=touched)

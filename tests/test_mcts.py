@@ -287,24 +287,19 @@ class TestRewardCounting:
         after = registry().value("reward_calls_total")
         assert after - before == report.reward_calls
 
-    def test_fallback_reasons_survive_rebases(self):
+    def test_every_patched_call_replays_across_rebases(self):
         from repro.bench_designs import load_design
         from repro.obs import registry
 
-        reasons = ("folded_reg_cone", "reg_ref_changed", "no_convergence")
-        names = [f"analysis_fallbacks_{reason}_total" for reason in reasons]
-        before = [registry().value(name) for name in names]
+        before = registry().value("analysis_delta_hits_total")
         report = optimize_registers(load_design("uart_tx"), config=self.CONFIG)
-        # Each cone rebases onto a fresh analyzer; the reasons of every
-        # one of them add up to the total.
-        assert report.reward_rebases > 1 and report.analysis_fallbacks > 0
-        assert set(report.analysis_fallback_reasons) <= set(reasons)
-        assert (sum(report.analysis_fallback_reasons.values())
-                == report.analysis_fallbacks)
-        for reason, name, old in zip(reasons, names, before):
-            assert registry().value(name) - old == (
-                report.analysis_fallback_reasons.get(reason, 0)
-            )
+        # Each cone rebases onto a fresh analyzer; every patched reward
+        # call of every one of them is a replay of the full pass.
+        assert report.reward_rebases > 1 and report.reward_patches > 0
+        assert report.analysis_delta_hits == report.reward_patches
+        assert report.analysis_fallbacks == report.analysis_divergences == 0
+        after = registry().value("analysis_delta_hits_total")
+        assert after - before == report.analysis_delta_hits
 
 
 class TestConeBatchEvaluator:

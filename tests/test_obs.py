@@ -421,6 +421,24 @@ class TestBitIdentity:
         assert "mcts.optimize" in names
         assert "mcts.cone" in names
 
+    def test_cone_spans_split_reward_swap_and_sample(self):
+        config = resolve_preset("smoke").mcts
+        graph = load_design("uart_tx")
+        untraced = optimize_registers(graph, config=config)
+        # Untraced searches measure nothing.
+        assert not any(r.split_ms for r in untraced.cone_results.values())
+
+        recorder = TraceRecorder()
+        with tracing(recorder):
+            optimize_registers(graph, config=config)
+        cones = [r for r in recorder.spans() if r.name == "mcts.cone"]
+        assert cones
+        for record in cones:
+            split = [record.attrs[name]
+                     for name in ("reward_ms", "apply_swap_ms", "sample_ms")]
+            assert record.attrs["reward_ms"] > 0 and min(split) >= 0
+            assert sum(split) <= record.duration_ns / 1e6
+
     def test_traced_session_generate_matches_untraced(self, tmp_path):
         session = Session(preset="smoke", seed=0, cache_dir=tmp_path)
         session.fit(load_corpus()[:4])
