@@ -36,6 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from ..diffusion import SampleResult
+from ..diffusion.persist import FORMAT_VERSION as MODEL_FORMAT
 from ..ir import CircuitGraph
 from ..obs import span
 from .engine import GenerationRecord, SynCircuit, SynCircuitConfig
@@ -154,6 +155,7 @@ class Session:
                 diff_key = self.store.key("diffusion", {
                     "config": self.config.diffusion.__dict__,
                     "graphs": fingerprint,
+                    "format": MODEL_FORMAT,
                 })
                 trained = self.store.load_diffusion(diff_key)
 

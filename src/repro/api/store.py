@@ -23,6 +23,7 @@ import tempfile
 import numpy as np
 
 from ..diffusion import TrainedDiffusion, load_trained, save_trained
+from ..diffusion.persist import ModelFormatError
 from ..ir import CircuitGraph
 from ..mcts import GRAPH_FEATURE_DIM, PCSDiscriminator
 from ..obs import registry
@@ -90,7 +91,11 @@ class ArtifactStore:
             return cached
         path = self.path(key, ".npz")
         if path.exists():
-            trained = load_trained(path)
+            try:
+                trained = load_trained(path)
+            except ModelFormatError:
+                self._record(False)
+                return None
             self._memory[key] = trained
             self._record(True)
             return trained

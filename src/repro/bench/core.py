@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from collections.abc import Sequence
 from typing import Callable
 
 
@@ -35,6 +36,16 @@ class Benchmark:
     ops: int = 1
     repeats: int | None = None  # override the suite-wide repeat count
     meta: dict = field(default_factory=dict)
+
+
+def matches(name: str, patterns: str | Sequence[str] | None) -> bool:
+    """Does a benchmark ``name`` pass a ``--filter``: no pattern, or
+    one substring, or any of several?"""
+    if patterns is None:
+        return True
+    if isinstance(patterns, str):
+        patterns = [patterns]
+    return any(pattern in name for pattern in patterns)
 
 
 @dataclass

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import tempfile
 import time
+from collections.abc import Sequence
 from typing import Callable
 
-from .core import Benchmark, run_benchmark
+from .core import Benchmark, matches, run_benchmark
 from .report import BenchReport
 
 #: Requests per timed run of each latency benchmark.
@@ -128,7 +129,7 @@ def run_serve_suite(
     repeats: int = 3,
     warmup: int = 1,
     workers: int = 2,
-    filter_pattern: str | None = None,
+    filter_pattern: str | Sequence[str] | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> BenchReport:
     """Boot a server, measure the service paths, return the report.
@@ -150,8 +151,8 @@ def run_serve_suite(
 
     benchmarks = [_queue_benchmark(seed)]
     server = None
-    needs_server = filter_pattern is None or any(
-        filter_pattern in name
+    needs_server = any(
+        matches(name, filter_pattern)
         for name in ("serve.submit_roundtrip", "serve.dedup_hit")
     )
     try:
@@ -168,8 +169,9 @@ def run_serve_suite(
             benchmarks = (
                 build_serve_benchmarks(client, seed=seed) + benchmarks
             )
-        if filter_pattern:
-            benchmarks = [b for b in benchmarks if filter_pattern in b.name]
+        benchmarks = [
+            b for b in benchmarks if matches(b.name, filter_pattern)
+        ]
         records = []
         for benchmark in benchmarks:
             if progress is not None:

@@ -26,8 +26,9 @@ deliberately spans the whole stack:
 * ``diffusion.sample_batch`` -- several samples through shared denoiser
   forwards (the ``Session.generate`` phase-1 path)
 * ``diffusion.forward_n256`` -- one batched denoiser forward over two
-  256-node graphs at the ``fast`` preset's width, where the pair
-  decoder's row blocking and float32 precision carry Phase 1's cost
+  256-node graphs at the ``fast`` preset's width and attribute table,
+  where the pair decoder's row blocking and float32 precision carry
+  Phase 1's cost; it scores each graph's legal block, as sampling does
 * ``metrics.structural`` -- Table II structural-similarity metrics
 * ``e2e.generate``     -- one full Session.generate (all three phases)
 * ``e2e.generate_batch`` -- a batch-8 mixed-size Session.generate in
@@ -39,11 +40,12 @@ deliberately spans the whole stack:
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from typing import Callable
 
 import numpy as np
 
-from .core import Benchmark, run_benchmark
+from .core import Benchmark, matches, run_benchmark
 from .report import BenchReport
 
 #: Stimulus length for the simulation benchmarks (one packed word block).
@@ -381,24 +383,37 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
 
     # The smoke denoiser's hidden 16 hides the decoder's cost, so this
     # kernel takes the ``fast`` preset's widths.  Weights do not change
-    # the cost, so the network is left untrained.
+    # the cost, so the network is left untrained.  Attributes come from
+    # the attribute table a fitted ``fast`` session samples from (the
+    # corpus training split), so the decoder scores the legal block the
+    # reverse walk scores; its share of all N^2 pairs is recorded.
+    forward_meta = {"nodes": 256, "batch": 2, "widths": "fast",
+                    "attributes": "fast", "note": "paper-scale pair decoder"}
+
     def forward_setup():
         from ..api.presets import resolve_preset
-        from ..diffusion import DenoisingNetwork
-        from ..diffusion.features import NUM_WIDTH_BUCKETS
-        from ..ir import NUM_TYPES
+        from ..bench_designs import train_test_split
+        from ..diffusion import AttributeSampler, DenoisingNetwork
+        from ..diffusion.features import PairBlock, width_bucket
 
         dims = resolve_preset("fast").diffusion
         net = DenoisingNetwork(hidden=dims.hidden, num_layers=dims.num_layers,
                                time_dim=dims.time_dim, seed=seed)
+        sampler = AttributeSampler(train_test_split(seed=2025)[0])
         rng = np.random.default_rng(seed)
-        types = rng.integers(0, NUM_TYPES, (2, 256))
-        buckets = rng.integers(0, NUM_WIDTH_BUCKETS, (2, 256))
-        return net, types, buckets, rng.random((2, 256, 256)) < 0.02
+        attrs = [sampler.sample(256, rng) for _ in range(2)]
+        types = np.stack([t for t, _ in attrs])
+        buckets = np.array([[width_bucket(int(w)) for w in widths]
+                            for _, widths in attrs])
+        blocks = [PairBlock.legal(row) for row in types]
+        a_t = [rng.random(block.shape) < 0.02 for block in blocks]
+        forward_meta["legal_pair_fraction"] = round(
+            sum(block.size for block in blocks) / (2 * 256 * 256), 4)
+        return net, types, buckets, a_t, blocks
 
     def forward_run(state):
-        net, types, buckets, a_t = state
-        net.predict_full_batch(types, buckets, a_t, 0.5)
+        net, types, buckets, a_t, blocks = state
+        net.predict_full_batch(types, buckets, a_t, 0.5, blocks=blocks)
         return 2
 
     # -- structural metrics ---------------------------------------------
@@ -503,8 +518,7 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
         benchmarks.insert(
             10,
             Benchmark("diffusion.forward_n256", forward_setup, forward_run,
-                      meta={"nodes": 256, "batch": 2, "widths": "fast",
-                            "note": "paper-scale pair decoder"}),
+                      meta=forward_meta),
         )
     return benchmarks
 
@@ -517,15 +531,16 @@ def run_suite(
     seed: int = 0,
     repeats: int = 3,
     warmup: int = 1,
-    filter_pattern: str | None = None,
+    filter_pattern: str | Sequence[str] | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> BenchReport:
     """Run the standard suite and return a stamped :class:`BenchReport`.
 
     ``config`` overrides the preset with an explicit scenario config;
     ``filter_pattern`` keeps only benchmarks whose name contains the
-    substring.  The report's ``simulate.bitparallel`` record is annotated
-    with ``speedup_vs_scalar`` when both simulation benchmarks ran.
+    substring, or any of several substrings.  The report's
+    ``simulate.bitparallel`` record is annotated with
+    ``speedup_vs_scalar`` when both simulation benchmarks ran.
     """
     from ..api.presets import resolve_preset
     from ..api.store import fingerprint
@@ -536,8 +551,7 @@ def run_suite(
     else:
         preset_name = suite
     benchmarks = build_suite(config, seed=seed)
-    if filter_pattern:
-        benchmarks = [b for b in benchmarks if filter_pattern in b.name]
+    benchmarks = [b for b in benchmarks if matches(b.name, filter_pattern)]
 
     records = []
     for benchmark in benchmarks:

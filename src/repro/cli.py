@@ -676,8 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="untimed warmup runs per benchmark")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
-        "--filter", default=None,
-        help="only run benchmarks whose name contains this substring",
+        "--filter", action="append", default=None,
+        help="only run benchmarks whose name contains this substring "
+             "(repeatable: a benchmark matching any pattern runs)",
     )
     p_bench.add_argument(
         "-o", "--output", default=None,

@@ -2,14 +2,17 @@
 
 Node attributes are (type, width); types become one-hot indices for an
 embedding table and widths are bucketed by log2 so that 1-, 8- and 32-bit
-signals land in distinct buckets.
+signals land in distinct buckets.  The types also fix which ordered pairs
+can carry an edge at all (:class:`PairBlock`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ..ir import CircuitGraph
+from ..ir import CircuitGraph, NodeType, arity_of
 
 #: Number of log2 width buckets (1, 2, 3-4, 5-8, ..., >128).
 NUM_WIDTH_BUCKETS = 8
@@ -17,6 +20,61 @@ NUM_WIDTH_BUCKETS = 8
 #: Fewest nodes a sample can have: one input, output, register and
 #: constant (see :meth:`AttributeSampler.sample`).
 MIN_NODES = 4
+
+
+#: Per type index: can the node drive another (every type but ``out``),
+#: and does it take parents (arity > 0)?
+_DRIVES = np.array([t is not NodeType.OUT for t in NodeType])
+_RECEIVES = np.array([arity_of(t) > 0 for t in NodeType])
+
+
+@dataclass(frozen=True)
+class PairBlock:
+    """The ordered pairs ``drivers x receivers`` of an N-node graph.
+
+    Phase 2 never gives a parent to an arity-0 node (``in``, ``const``)
+    and never lets an ``out`` node drive anything, so an edge can only
+    run from a driver (type not ``out``) to a receiver (arity > 0).
+    :meth:`legal` is that block; Phase 1 noises, scores and samples only
+    its pairs, and every other pair stays 0.  :meth:`gather` and
+    :meth:`scatter` move between the ``(|D|, |R|)`` block and the dense
+    ``(N, N)`` matrix.
+    """
+
+    num_nodes: int
+    drivers: np.ndarray
+    receivers: np.ndarray
+
+    @classmethod
+    def legal(cls, types: np.ndarray) -> "PairBlock":
+        """The pairs that can carry an edge under node types ``types``."""
+        types = np.asarray(types, dtype=np.int64)
+        return cls(len(types), np.flatnonzero(_DRIVES[types]),
+                   np.flatnonzero(_RECEIVES[types]))
+
+    @classmethod
+    def full(cls, num_nodes: int) -> "PairBlock":
+        """Every ordered pair of ``num_nodes`` nodes."""
+        every = np.arange(num_nodes)
+        return cls(num_nodes, every, every)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.drivers), len(self.receivers)
+
+    @property
+    def size(self) -> int:
+        return len(self.drivers) * len(self.receivers)
+
+    def gather(self, dense: np.ndarray) -> np.ndarray:
+        """The block's entries of an ``(N, N)`` matrix."""
+        return dense[np.ix_(self.drivers, self.receivers)]
+
+    def scatter(self, block: np.ndarray) -> np.ndarray:
+        """``block`` placed in an ``(N, N)`` matrix, zeros elsewhere."""
+        out = np.zeros((self.num_nodes, self.num_nodes), dtype=block.dtype)
+        out[np.ix_(self.drivers, self.receivers)] = block
+        return out
 
 
 def width_bucket(width: int) -> int:

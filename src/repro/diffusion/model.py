@@ -19,7 +19,12 @@ with no autograd tape.  It mirrors the tape op for op, so its loss and
 gradients are bit-identical to the :class:`~repro.nn.Tensor` forward
 (:meth:`DenoisingNetwork.forward`), which stays as the reference the
 differential tests compare against.  Inference uses a vectorised numpy
-path (`predict_full`, `predict_full_batch`) that scores all N^2 pairs.
+path (`predict_full`, `predict_full_batch`) that scores one block of
+pairs, rows x columns; the reverse walk asks for the legal block
+(:class:`~repro.diffusion.features.PairBlock`: drivers x receivers), the
+only pairs Phase 2 can use, and the noisy adjacency comes in over the
+same block; the encoder reads it scattered into a dense N x N
+aggregation with zeros elsewhere.
 Training and the encoder run in float64; the pair decoder runs in
 float32, and P_E agrees with a float64 decoder within 1e-6.  The decoder
 walks each graph in row blocks sized to a fixed cache budget, so the
@@ -29,6 +34,8 @@ output is bit-identical to an unblocked float32 evaluation.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -43,7 +50,7 @@ from ..nn import (
     sigmoid_np,
     time_features,
 )
-from .features import NUM_WIDTH_BUCKETS
+from .features import NUM_WIDTH_BUCKETS, PairBlock
 
 # Byte budget of one row block of the pair decoder's (rows, N, H) float32
 # workspace (see DenoisingNetwork._decode_np).  Two such buffers are live
@@ -72,13 +79,25 @@ class DirectedMPNNEncoder(Module):
         self.w_m = [Linear(hidden, hidden, rng) for _ in range(num_layers)]
 
     @staticmethod
-    def aggregation_matrix(a_t: np.ndarray) -> np.ndarray:
-        """Row-normalised parent aggregation: M[j, i] = A_t[i, j]/|P(j)|."""
+    def aggregation_matrix(a_t: np.ndarray,
+                           block: PairBlock | None = None) -> np.ndarray:
+        """Row-normalised parent aggregation: M[j, i] = A_t[i, j]/|P(j)|.
+
+        ``a_t`` holds the pairs of ``block`` (default: ``a_t`` is the
+        dense ``(N, N)`` adjacency).  A block's aggregation is scattered
+        into the dense ``(N, N)`` matrix, zeros elsewhere: bit for bit
+        the matrix of the block's dense scatter, since in-degrees are
+        exact integer sums.
+        """
         a = a_t.astype(np.float64)
         indeg = a.sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             m = a.T / np.maximum(indeg[:, None], 1.0)
-        return m
+        if block is None:
+            return m
+        dense = np.zeros((block.num_nodes, block.num_nodes))
+        dense[np.ix_(block.receivers, block.drivers)] = m
+        return dense
 
     def initial_embedding(self, types: np.ndarray, widths: np.ndarray,
                           t_frac: float) -> Tensor:
@@ -239,8 +258,15 @@ class DenoisingNetwork(Module):
     # ------------------------------------------------------------------
     def predict_full(self, types: np.ndarray, widths: np.ndarray,
                      a_t: np.ndarray, t_frac: float,
-                     logit_bias: float = 0.0) -> np.ndarray:
-        """Probability matrix P_E over all ordered pairs (i, j).
+                     logit_bias: float = 0.0,
+                     block: PairBlock | None = None) -> np.ndarray:
+        """Probability matrix P_E over the pairs of ``block``.
+
+        ``a_t`` is the noisy adjacency over the pairs of ``block``
+        (default: every ordered pair, ``(N, N)``), and so is the result,
+        ``(|drivers|, |receivers|)``.  The reverse walk passes
+        :meth:`PairBlock.legal`, so no pair Phase 2 cannot use is ever
+        noised or scored.
 
         ``logit_bias`` applies the negative-sampling prior correction:
         training sees positives at rate 1/(1+neg_ratio) while the true
@@ -252,15 +278,22 @@ class DenoisingNetwork(Module):
         :meth:`_decode_np`): the result is within 1e-6 of a float64
         forward, not bit-identical to one.
         """
-        h = self._encode_np(types, widths, a_t, t_frac)
-        return self._decode_np(h[None], t_frac, logit_bias)[0]
+        if block is None:
+            block = PairBlock.full(len(types))
+        h = self._encode_np(types, widths, a_t, t_frac, block)
+        return self._decode_np(h[None], t_frac, [logit_bias], [block])[0]
 
     def predict_full_batch(
-        self, types: np.ndarray, widths: np.ndarray, a_t: np.ndarray,
-        t_frac: float, logit_bias: float = 0.0,
-    ) -> np.ndarray:
+        self, types: np.ndarray, widths: np.ndarray,
+        a_t: Sequence[np.ndarray], t_frac: float,
+        logit_bias: float | Sequence[float] = 0.0,
+        blocks: Sequence[PairBlock] | None = None,
+    ) -> list[np.ndarray]:
         """Batched :meth:`predict_full`: ``types``/``widths`` are
-        ``(B, N)``, ``a_t`` is ``(B, N, N)``; returns ``(B, N, N)``.
+        ``(B, N)`` and ``a_t[k]`` is item ``k``'s noisy adjacency over
+        ``blocks[k]`` (default every pair, so ``a_t`` may be
+        ``(B, N, N)``); returns item ``k``'s P_E over its block, with
+        ``logit_bias`` one float for all items or one per item.
 
         One denoiser forward serves the whole stack: time/relation
         embeddings and decoder weight prep happen once, and every
@@ -274,24 +307,34 @@ class DenoisingNetwork(Module):
         measurably changes low-order bits).  Both methods share the one
         float32 pair decoder, :meth:`_decode_np`.
         """
-        h = self._encode_np_batch(types, widths, a_t, t_frac)  # (B, N, H)
-        return self._decode_np(h, t_frac, logit_bias)
+        batch, n = np.shape(types)
+        if blocks is None:
+            blocks = [PairBlock.full(n)] * batch
+        biases = (
+            [float(logit_bias)] * batch
+            if isinstance(logit_bias, (int, float)) else list(logit_bias)
+        )
+        h = self._encode_np_batch(types, widths, a_t, t_frac, blocks)
+        return self._decode_np(h, t_frac, biases, blocks)
 
     def _decode_np(self, h: np.ndarray, t_frac: float,
-                   logit_bias: float) -> np.ndarray:
-        """Edge probabilities ``(B, N, N)`` from node embeddings
-        ``(B, N, H)``: the cache-blocked pair decoder.
+                   logit_bias: Sequence[float],
+                   blocks: Sequence[PairBlock]) -> list[np.ndarray]:
+        """Edge probabilities from node embeddings ``(B, N, H)``: item
+        ``k``'s ``(|drivers|, |receivers|)`` block of P_E, shifted by
+        ``logit_bias[k]``, through the cache-blocked pair decoder.
 
-        The first decoder layer needs the ``(N, N, H)`` pair tensor
-        ``z[i, j] = (H_i + r) * H_j``; built whole at hidden 48 it
-        outgrows a 2 MiB L2 from about 75 nodes on, and its elementwise
-        passes become bound by memory traffic.  So each item is walked
-        in row blocks whose ``(rows, N, H)`` workspace fits
-        :data:`_BLOCK_BYTES`, through two buffers allocated once per
-        forward.  Blocking only changes which rows share a call: every
-        matmul slice is still ``(N, H) @ (H, H)`` (then ``@ (H, 1)``)
-        and each element sees the same operations in the same order, so
-        the output is bit-identical for every block size.
+        The first decoder layer needs the pair tensor
+        ``z[i, j] = (H_i + r) * H_j`` for driver rows ``i`` and receiver
+        columns ``j``; built whole at hidden 48 it outgrows a 2 MiB L2
+        from about 75 nodes on, and its elementwise passes become bound
+        by memory traffic.  So each item is walked in row blocks whose
+        ``(rows, |R|, H)`` workspace fits :data:`_BLOCK_BYTES`, in two
+        buffers allocated once per forward.  Blocking only changes which
+        rows share a call: every matmul slice is still
+        ``(|R|, H) @ (H, H)`` (then ``@ (H, 1)``) and each element sees
+        the same operations in the same order, so the output is
+        bit-identical for every block size.
 
         The decoder runs in float32, the one inference precision: ``H``,
         ``H + r``, the first layer's weights and time bias, and the
@@ -304,7 +347,7 @@ class DenoisingNetwork(Module):
         lands within that difference of P, so a sampled adjacency is
         expected, not promised, to equal the float64 decoder's.
         """
-        batch, n, hidden = h.shape
+        hidden = h.shape[2]
         feats = time_features(t_frac, self.encoder.time_dim)
         r = _mlp_np(self.decoder.relation_mlp, feats)[0]
         d = _mlp_np(self.decoder.timestep_mlp, feats)[0]
@@ -320,39 +363,55 @@ class DenoisingNetwork(Module):
         h_r = (h + r).astype(f32)
         h = h.astype(f32)
 
-        block = max(1, min(n, _BLOCK_BYTES // (n * hidden * 4)))
-        pairs = np.empty((block, n, hidden), dtype=f32)
-        act = np.empty((block, n, hidden), dtype=f32)
-        logits = np.empty((batch, n, n))
-        for k in range(batch):
-            for lo in range(0, n, block):
-                hi = min(lo + block, n)
-                z = pairs[:hi - lo]
-                a1 = act[:hi - lo]
-                # z[i, j, :] = (H_i + r) * H_j for i in [lo, hi)
-                np.multiply(h_r[k, lo:hi, None, :], h[k, None, :, :], out=z)
+        rows = [
+            max(1, min(len(blk.drivers),
+                       _BLOCK_BYTES // (max(len(blk.receivers), 1)
+                                        * hidden * 4)))
+            for blk in blocks
+        ]
+        words = max((k * len(blk.receivers) * hidden
+                     for k, blk in zip(rows, blocks)), default=0)
+        pairs = np.empty(words, dtype=f32)
+        act = np.empty(words, dtype=f32)
+        out = []
+        for k, (blk, step) in enumerate(zip(blocks, rows)):
+            drivers, receivers = blk.shape
+            h_src = h_r[k, blk.drivers]
+            h_dst = h[k][blk.receivers][None]
+            logits = np.empty((drivers, receivers))
+            for lo in range(0, drivers, step):
+                hi = min(lo + step, drivers)
+                size = (hi - lo) * receivers * hidden
+                z = pairs[:size].reshape(hi - lo, receivers, hidden)
+                a1 = act[:size].reshape(hi - lo, receivers, hidden)
+                # z[i, j, :] = (H_i + r) * H_j for driver rows [lo, hi)
+                np.multiply(h_src[lo:hi, None, :], h_dst, out=z)
                 np.matmul(z, w1_z, out=a1)
                 a1 += d_bias
                 np.maximum(a1, 0.0, out=a1)
                 # A float32 GEMV, widened on store into the float64 logits.
-                np.matmul(a1, w2, out=logits[k, lo:hi, :, None])
-        logits += b2
-        logits += logit_bias
-        return sigmoid_np(logits)
+                np.matmul(a1, w2, out=logits[lo:hi, :, None])
+            logits += b2
+            logits += logit_bias[k]
+            out.append(sigmoid_np(logits))
+        return out
 
     def _encode_np_batch(self, types: np.ndarray, widths: np.ndarray,
-                         a_t: np.ndarray, t_frac: float) -> np.ndarray:
-        """Batched numpy encoder: ``(B, N)`` attributes -> ``(B, N, H)``."""
+                         a_t: Sequence[np.ndarray], t_frac: float,
+                         blocks: Sequence[PairBlock] | None = None,
+                         ) -> np.ndarray:
+        """Batched numpy encoder: ``(B, N)`` attributes -> ``(B, N, H)``;
+        ``a_t[k]`` is over ``blocks[k]`` (default: dense ``(N, N)``)."""
         enc = self.encoder
         types = np.asarray(types, dtype=np.int64)
         widths = np.asarray(widths, dtype=np.int64)
         h = enc.type_emb.weight.data[types] + enc.width_emb.weight.data[widths]
         t_emb = _mlp_np(enc.time_mlp, time_features(t_frac, enc.time_dim))
         h = h + t_emb
-        a = np.asarray(a_t, dtype=np.float64)
-        indeg = a.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            agg = a.transpose(0, 2, 1) / np.maximum(indeg[:, :, None], 1.0)
+        agg = np.stack([
+            enc.aggregation_matrix(a, None if blocks is None else blocks[k])
+            for k, a in enumerate(a_t)
+        ])
         for w_h, w_m in zip(enc.w_h, enc.w_m):
             wh, bh = _wb(w_h)
             wm, bm = _wb(w_m)
@@ -362,13 +421,14 @@ class DenoisingNetwork(Module):
         return h
 
     def _encode_np(self, types: np.ndarray, widths: np.ndarray,
-                   a_t: np.ndarray, t_frac: float) -> np.ndarray:
+                   a_t: np.ndarray, t_frac: float,
+                   block: PairBlock | None = None) -> np.ndarray:
         enc = self.encoder
         h = (enc.type_emb.weight.data[np.asarray(types, dtype=np.int64)]
              + enc.width_emb.weight.data[np.asarray(widths, dtype=np.int64)])
         t_emb = _mlp_np(enc.time_mlp, time_features(t_frac, enc.time_dim))
         h = h + t_emb
-        agg = enc.aggregation_matrix(a_t)
+        agg = enc.aggregation_matrix(a_t, block)
         for w_h, w_m in zip(enc.w_h, enc.w_m):
             wh, bh = _wb(w_h)
             wm, bm = _wb(w_m)

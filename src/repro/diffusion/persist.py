@@ -2,7 +2,8 @@
 
 A saved bundle contains the denoiser weights, the schedule/configuration
 scalars and the empirical attribute table, so a generator can be trained
-once and reused across sessions without retraining.
+once and reused across sessions without retraining.  It also records
+:data:`FORMAT_VERSION`; a bundle of another format is rejected on load.
 """
 
 from __future__ import annotations
@@ -17,6 +18,18 @@ from .model import DenoisingNetwork
 from .schedule import NoiseSchedule
 from .train import DiffusionConfig, TrainedDiffusion
 
+#: What a fitted model means, beyond its hyper-parameters.  Bundles
+#: without a version are format 1: trained and sampled over all N^2
+#: pairs.  Format 2 trains and samples only the legal block (drivers x
+#: receivers), so a format-1 model would walk a distribution it was not
+#: fitted for.  Bump this whenever fitting or sampling changes what the
+#: weights mean; the artifact store keys by it too.
+FORMAT_VERSION = 2
+
+
+class ModelFormatError(ValueError):
+    """A saved generator was written under another :data:`FORMAT_VERSION`."""
+
 
 def save_trained(trained: TrainedDiffusion, path: str | pathlib.Path) -> None:
     """Write a trained generator to ``path`` (.npz)."""
@@ -30,6 +43,7 @@ def save_trained(trained: TrainedDiffusion, path: str | pathlib.Path) -> None:
         "neg_ratio": trained.config.neg_ratio,
         "noise_density": trained.schedule.noise_density,
         "seed": trained.config.seed,
+        "format": FORMAT_VERSION,
     })
     arrays = {
         f"param_{key}": value
@@ -46,9 +60,18 @@ def save_trained(trained: TrainedDiffusion, path: str | pathlib.Path) -> None:
 
 
 def load_trained(path: str | pathlib.Path) -> TrainedDiffusion:
-    """Restore a generator saved by :func:`save_trained`."""
+    """Restore a generator saved by :func:`save_trained`.
+
+    Raises :class:`ModelFormatError` when the bundle's format is not
+    :data:`FORMAT_VERSION`.
+    """
     with np.load(path) as bundle:
         config_raw = json.loads(bytes(bundle["config"]).decode())
+        found = config_raw.get("format", 1)
+        if found != FORMAT_VERSION:
+            raise ModelFormatError(
+                f"{path}: model format {found}, expected {FORMAT_VERSION}"
+            )
         config = DiffusionConfig(
             num_steps=config_raw["num_steps"],
             hidden=config_raw["hidden"],

@@ -4,6 +4,16 @@ Starting from the stationary sparse prior, each step queries the network
 for p(A_0 | A_t), forms the D3PM posterior for A_{t-1} and samples it.
 The final step's x0 prediction is the edge-probability matrix
 ``P_E^{(t=0)}`` that Phase 2's probability-guided refinement consumes.
+
+The walk is a constrained D3PM (Austin et al., 2021): once an item's
+attributes are drawn, its legal block (:class:`PairBlock`: drivers, the
+nodes that are not ``out``, x receivers, the nodes of arity > 0) is
+fixed, and the prior draw, every posterior and draw, and P_E live on
+that ``(|D|, |R|)`` block.  Every other pair is held at 0 -- Phase 2
+could never use it.  The item's density is matched to its size over the
+legal pairs, so the expected edge count is that of the unconstrained
+walk.  :class:`SampleResult` scatters the block back into ``(N, N)``
+arrays, zero off the block.
 """
 
 from __future__ import annotations
@@ -13,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs import get_logger, registry, span
+from .features import PairBlock, width_bucket
+from .schedule import NoiseSchedule
 from .train import TrainedDiffusion
 
 logger = get_logger(__name__)
@@ -22,8 +34,8 @@ logger = get_logger(__name__)
 class SampleResult:
     """Initial (possibly invalid) generation output of Phase 1."""
 
-    adjacency: np.ndarray       # bool (N, N): G_ini edges
-    edge_probability: np.ndarray  # float (N, N): P_E^{(t=0)}
+    adjacency: np.ndarray       # bool (N, N): G_ini edges, 0 off the block
+    edge_probability: np.ndarray  # float (N, N): P_E^{(t=0)}, 0 off the block
     types: np.ndarray           # node type indices
     widths: np.ndarray          # node widths (actual bit widths)
 
@@ -52,34 +64,45 @@ def sample_initial_graph(
     if len(widths) != n:
         raise ValueError("types and widths must have equal length")
 
-    from .features import width_bucket
-    from .schedule import NoiseSchedule
-
     buckets = np.array([width_bucket(int(w)) for w in widths], dtype=np.int64)
     model = trained.model
     steps = trained.schedule.num_steps
-    # Size-adaptive schedule: same step count, density matched to N.
-    schedule = NoiseSchedule.cosine(steps, trained.target_density(n))
+    block = PairBlock.legal(types)
+    schedule, bias = _walk_schedule(trained, block)
 
     with span("diffusion.sample", nodes=n, steps=steps):
-        a_t = schedule.prior_sample((n, n), rng)
-        p_x0 = np.full((n, n), schedule.noise_density)
-        bias = trained.calibration_bias(n)
+        a_blk = schedule.prior_sample(block.shape, rng)
         for t in range(steps, 0, -1):
             p_x0 = model.predict_full(
-                types, buckets, a_t, t / steps, logit_bias=bias
+                types, buckets, a_blk, t / steps, logit_bias=bias,
+                block=block,
             )
-            if t > 1:
-                p_prev = schedule.posterior_probability(a_t, p_x0, t)
-                a_t = rng.random((n, n)) < p_prev
-            else:
-                a_t = rng.random((n, n)) < p_x0
+            p_draw = (
+                schedule.posterior_probability(a_blk, p_x0, t)
+                if t > 1 else p_x0
+            )
+            a_blk = rng.random(block.shape) < p_draw
     return SampleResult(
-        adjacency=a_t.astype(bool),
-        edge_probability=p_x0,
+        adjacency=block.scatter(a_blk),
+        edge_probability=block.scatter(p_x0),
         types=types,
         widths=widths,
     )
+
+
+def _walk_schedule(
+    trained: TrainedDiffusion, block: PairBlock
+) -> tuple[NoiseSchedule, float]:
+    """One item's noise schedule and logit bias.
+
+    Same step count as training; the density is matched to the item's
+    size over its legal pairs (:meth:`TrainedDiffusion.target_density`).
+    """
+    n, pairs = block.num_nodes, block.size
+    schedule = NoiseSchedule.cosine(
+        trained.schedule.num_steps, trained.target_density(n, pairs)
+    )
+    return schedule, trained.calibration_bias(n, pairs)
 
 
 def sample_batch(
@@ -93,9 +116,9 @@ def sample_batch(
     process in lockstep: per step, one
     :meth:`~repro.diffusion.model.DenoisingNetwork.predict_full_batch`
     forward scores the whole group (one stacked encoder pass, then the
-    cache-blocked pair decoder per item), while every
-    stochastic draw still comes from the item's own generator in the
-    same order as :func:`sample_initial_graph` would consume it.  The
+    cache-blocked pair decoder over each item's own legal block), while
+    every stochastic draw still comes from the item's own generator in
+    the same order as :func:`sample_initial_graph` would consume it.  The
     result list is therefore element-wise bit-identical to calling
     :func:`sample_initial_graph` per item -- the property the session
     API's sequential/parallel equivalence guarantee rests on -- at a
@@ -162,18 +185,12 @@ def _sample_pack(
 
     Per step, one
     :meth:`~repro.diffusion.model.DenoisingNetwork.predict_full_batch`
-    forward and one posterior call cover the pack.  Every stochastic
-    draw comes from the item's own generator, in
-    :func:`sample_initial_graph`'s order.
+    forward covers the pack; each item's block and schedule are its own,
+    so the posterior runs per item.  Every stochastic draw comes from the
+    item's own generator, in :func:`sample_initial_graph`'s order.
     """
-    from .features import width_bucket
-    from .schedule import NoiseSchedule
-
     model = trained.model
     steps = trained.schedule.num_steps
-    n = len(attrs[members[0]][0])
-    schedule = NoiseSchedule.cosine(steps, trained.target_density(n))
-    bias = trained.calibration_bias(n)
     types = [np.asarray(attrs[k][0], dtype=np.int64) for k in members]
     widths = [np.asarray(attrs[k][1], dtype=np.int64) for k in members]
     type_stack = np.stack(types)
@@ -181,24 +198,32 @@ def _sample_pack(
         [[width_bucket(int(w)) for w in row] for row in widths],
         dtype=np.int64,
     )
+    blocks = [PairBlock.legal(row) for row in types]
+    walks = [_walk_schedule(trained, block) for block in blocks]
+    biases = [bias for _, bias in walks]
     # Attributes are already drawn; next come the prior, then one draw
     # per step.
-    a_t = np.stack(
-        [schedule.prior_sample((n, n), rngs[k]) for k in members]
-    )
+    a_blk = [
+        schedule.prior_sample(block.shape, rngs[k])
+        for (schedule, _), block, k in zip(walks, blocks, members)
+    ]
     for t in range(steps, 0, -1):
         p_x0 = model.predict_full_batch(
-            type_stack, bucket_stack, a_t, t / steps, logit_bias=bias
+            type_stack, bucket_stack, a_blk, t / steps,
+            logit_bias=biases, blocks=blocks,
         )
-        p_draw = (
-            schedule.posterior_probability(a_t, p_x0, t) if t > 1 else p_x0
-        )
-        a_t = np.stack([rngs[k].random((n, n)) < p_draw[b]
-                        for b, k in enumerate(members)])
+        a_blk = [
+            rngs[k].random(block.shape) < (
+                schedule.posterior_probability(a_blk[b], p_x0[b], t)
+                if t > 1 else p_x0[b]
+            )
+            for b, ((schedule, _), block, k)
+            in enumerate(zip(walks, blocks, members))
+        ]
     for b, k in enumerate(members):
         results[k] = SampleResult(
-            adjacency=a_t[b].astype(bool),
-            edge_probability=p_x0[b],
+            adjacency=blocks[b].scatter(a_blk[b]),
+            edge_probability=blocks[b].scatter(p_x0[b]),
             types=types[b],
             widths=widths[b],
         )

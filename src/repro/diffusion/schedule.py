@@ -9,7 +9,10 @@ whose stationary distribution ``m = [1 - p_noise, p_noise]`` is a sparse
 Bernoulli prior matching circuit edge densities.  The cumulative product
 has the closed form ``Qbar_t = alpha_bar_t * I + (1 - alpha_bar_t) 1 m^T``
 with ``alpha_bar_t`` following the cosine schedule of Nichol & Dhariwal
-(2021), the schedule the paper cites.
+(2021), the schedule the paper cites.  Training and sampling run these
+chains only on a graph's legal pairs
+(:class:`~repro.diffusion.features.PairBlock`); the methods are
+elementwise, so they take whatever block of entries they are given.
 """
 
 from __future__ import annotations

@@ -6,6 +6,12 @@ adjacency with binary cross-entropy on a balanced set of edge slots (all
 positives plus ``neg_ratio`` times as many sampled negatives -- circuit
 graphs are sparse, so full-matrix BCE would drown the positive signal).
 
+Training matches the reverse walk: only the circuit's legal block
+(:class:`~repro.diffusion.features.PairBlock`: drivers x receivers) is
+noised, every other pair of ``A_t`` stays 0, negatives are drawn from
+the block, and the noise density is the mean edge density over legal
+pairs.
+
 A step is one :meth:`DenoisingNetwork.loss_and_grads` call -- forward,
 loss and backward in plain numpy, bit-identical to the autograd tape --
 followed by one flat :class:`~repro.nn.Adam` update.  The whole fit runs
@@ -22,7 +28,7 @@ import numpy as np
 from ..ir import CircuitGraph
 from ..nn import Adam
 from ..obs import get_logger, span
-from .features import AttributeSampler, graph_attributes
+from .features import AttributeSampler, PairBlock, graph_attributes
 from .model import DenoisingNetwork
 from .schedule import NoiseSchedule
 
@@ -60,43 +66,55 @@ class TrainedDiffusion:
     losses: list[float] = field(default_factory=list)
     mean_edges_per_node: float = 1.5
 
-    def target_density(self, num_nodes: int) -> float:
-        """Size-adaptive edge density for generation.
+    def target_density(self, num_nodes: int,
+                       pairs: int | None = None) -> float:
+        """Size-adaptive edge density over the ``pairs`` pairs a walk
+        draws (default all ``num_nodes ** 2``).
 
         Circuit edge counts grow linearly with node count (every node has
         a fixed arity), so density falls as ~degree/N; using the training
         graphs' mean edges-per-node keeps large generated graphs as
-        sparse as large real designs.
+        sparse as large real designs.  The reverse walk draws only the
+        legal block's pairs, so it passes ``PairBlock.size``: the
+        expected edge count stays ``mean_edges_per_node * num_nodes``.
         """
-        return float(
-            np.clip(self.mean_edges_per_node / max(num_nodes, 2), 1e-4, 0.5)
-        )
+        if pairs is None:
+            pairs = num_nodes * num_nodes
+        return float(np.clip(
+            self.mean_edges_per_node * num_nodes / max(pairs, 1), 1e-4, 0.5
+        ))
 
-    def calibration_bias(self, num_nodes: int) -> float:
+    def calibration_bias(self, num_nodes: int,
+                         pairs: int | None = None) -> float:
         """Negative-sampling prior correction applied at inference.
 
         Training pairs contain positives at rate ``1/(1+neg_ratio)``; the
-        true edge density is far lower.  Shifting the logits by the
-        difference of the log-odds recalibrates sampled edge
-        probabilities without changing their ranking.
+        true edge density (:meth:`target_density`, over the same
+        ``pairs``) is far lower.  Shifting the logits by the difference
+        of the log-odds recalibrates sampled edge probabilities without
+        changing their ranking.
         """
         train_rate = 1.0 / (1.0 + self.config.neg_ratio)
-        density = self.target_density(num_nodes)
+        density = self.target_density(num_nodes, pairs)
         return float(
             np.log(density / (1.0 - density))
             - np.log(train_rate / (1.0 - train_rate))
         )
 
 
-def _edge_pairs(a0: np.ndarray, neg_ratio: float,
-                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positive pairs plus sampled negatives; returns (src, dst, target)."""
+def _edge_pairs(
+    a0: np.ndarray, neg_ratio: float, rng: np.random.Generator,
+    block: PairBlock | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positive pairs plus negatives sampled from ``block`` (default
+    every pair); returns (src, dst, target)."""
     pos_src, pos_dst = np.nonzero(a0)
+    if block is None:
+        block = PairBlock.full(a0.shape[0])
     num_pos = max(len(pos_src), 1)
-    num_neg = int(num_pos * neg_ratio)
-    n = a0.shape[0]
-    neg_src = rng.integers(0, n, size=num_neg)
-    neg_dst = rng.integers(0, n, size=num_neg)
+    num_neg = int(num_pos * neg_ratio) if block.size else 0
+    neg_src = block.drivers[rng.integers(0, len(block.drivers), num_neg)]
+    neg_dst = block.receivers[rng.integers(0, len(block.receivers), num_neg)]
     keep = ~a0[neg_src, neg_dst]
     neg_src, neg_dst = neg_src[keep], neg_dst[keep]
     src = np.concatenate([pos_src, neg_src])
@@ -127,8 +145,12 @@ def _fit(graphs: list[CircuitGraph], config: DiffusionConfig,
 
     adjacencies = [g.adjacency() for g in graphs]
     attrs = [graph_attributes(g) for g in graphs]
+    blocks = [PairBlock.legal(types) for types, _ in attrs]
     if config.noise_density is None:
-        densities = [a.mean() for a in adjacencies]
+        densities = [
+            block.gather(a).sum() / max(block.size, 1)
+            for a, block in zip(adjacencies, blocks)
+        ]
         noise_density = float(np.clip(np.mean(densities), 1e-4, 0.5))
     else:
         noise_density = config.noise_density
@@ -147,11 +169,11 @@ def _fit(graphs: list[CircuitGraph], config: DiffusionConfig,
         order = rng.permutation(len(graphs))
         epoch_loss = 0.0
         for gi in order:
-            a0 = adjacencies[gi]
+            a0, block = adjacencies[gi], blocks[gi]
             types, widths = attrs[gi]
             t = int(rng.integers(1, config.num_steps + 1))
-            a_t = schedule.sample_t(a0, t, rng)
-            src, dst, target = _edge_pairs(a0, config.neg_ratio, rng)
+            a_t = block.scatter(schedule.sample_t(block.gather(a0), t, rng))
+            src, dst, target = _edge_pairs(a0, config.neg_ratio, rng, block)
 
             optimizer.zero_grad()
             epoch_loss += model.loss_and_grads(

@@ -181,6 +181,25 @@ class DeltaNetlist:
             delta.materialize(check=True)
         return delta
 
+    def rebased(self, graph: CircuitGraph) -> "DeltaNetlist":
+        """This delta as the base of a new lineage on ``graph``.
+
+        ``graph`` must have this delta's wiring (an accepted candidate
+        flattened into the next search base).  The artifacts are shared
+        as they are; the parent chain is cut, so a carried-forward base
+        never grows one.
+        """
+        return DeltaNetlist(
+            graph,
+            num_nets=self.num_nets,
+            const0=self.const0,
+            const1=self.const1,
+            artifacts=self.artifacts,
+            patched=frozenset(),
+            parent=None,
+            comb_mask=self._comb_mask,
+        )
+
     def _patched_children(
         self, new_graph: CircuitGraph, touched: Iterable[int]
     ) -> Callable[[int], Iterable[int]]:

@@ -95,9 +95,13 @@ class IncrementalReward:
     graph whose node schema differs from the base rebases automatically,
     so the callable is safe to use standalone.
 
-    ``base_pcs`` is the base state's *exact* PCS (one ``synthesize()``
-    per rebase), which the MCTS driver reuses as the oracle's reference
-    value instead of re-synthesizing.
+    ``base_pcs`` is the base state's *exact* PCS (one synthesis per
+    rebase, unless the caller passes it; with ``delta`` on, from the
+    tracked base elaboration the :class:`DeltaOracle` uses), which the
+    MCTS driver reuses as the oracle's reference value instead of
+    re-synthesizing.  An accepted oracle candidate's delta carries
+    forward as the next base, so a search rebuilds the base elaboration
+    once, not once per accepted state.
 
     ``delta`` is the differential-test switch: ``True`` scores candidates
     with the analyzer's replay of the full pass (baseline trajectory
@@ -130,6 +134,9 @@ class IncrementalReward:
         self.base_pcs: float | None = None
         self._base_graph: CircuitGraph | None = None
         self._base: DeltaNetlist | None = None
+        #: The last candidate delta the :class:`DeltaOracle` assembled;
+        #: a rebase onto that candidate's wiring keeps it as the base.
+        self._candidate: DeltaNetlist | None = None
         self._analyzer: RedundancyAnalyzer | None = None
         self._generation = 0
         self._scale = 1.0
@@ -164,17 +171,32 @@ class IncrementalReward:
     def _rebase(
         self, graph: CircuitGraph, exact_pcs: float | None
     ) -> None:
-        if exact_pcs is None:
-            exact_pcs = synthesize(
-                graph, clock_period=self.clock_period, strength=self.strength,
-                library=self.library, check=False, run_timing=False,
-            ).pcs
         self._base_graph = graph
         self._generation = next(_GENERATIONS)
         # The tracked base elaboration is only needed by the
         # DeltaOracle; the scoring path works entirely from the per-node
-        # area memo, so it is built lazily.
-        self._base = None
+        # area memo, so it is built lazily.  When the new base is the
+        # candidate the oracle just accepted, its delta carries forward
+        # instead of a fresh elaboration of the whole design.
+        carried, self._candidate = self._candidate, None
+        if carried is not None and graph.structural_delta(carried.graph) == []:
+            self._base = carried.rebased(graph)
+        else:
+            self._base = None
+        if exact_pcs is None and self.delta:
+            # The delta oracle's value for its own base, which is
+            # bit-identical to synthesize(...).pcs (the differential
+            # fuzz asserts it), from the tracked elaboration the oracle
+            # builds anyway: no separate elaboration.
+            exact_pcs = netlist_pcs(
+                DeltaOracle._assemble(self._ensure_base_delta()),
+                graph.num_nodes, self.library, self.strength,
+            )
+        elif exact_pcs is None:
+            exact_pcs = synthesize(
+                graph, clock_period=self.clock_period, strength=self.strength,
+                library=self.library, check=False, run_timing=False,
+            ).pcs
         (self.analysis_delta_hits, self.analysis_fallbacks,
          self.analysis_divergences) = self.analysis_counters()
         self._analyzer = RedundancyAnalyzer(graph, share_from=self._analyzer)
@@ -423,6 +445,7 @@ class DeltaOracle:
         delta = engine._ensure_base_delta().apply_edit(graph, priced[0])
         if delta.parent is None:
             return None
+        engine._candidate = delta
         return self._assemble(delta)
 
     @staticmethod
@@ -484,7 +507,15 @@ class DeltaOracle:
             netlist = elaborate(graph, check=False)
         else:
             self.delta_hits += 1
-        optimized, _ = optimize_netlist(netlist, check=False)
-        area = total_area(optimized, self.library, self.strength)
-        nodes = graph.num_nodes
-        return area / nodes if nodes else 0.0
+        return netlist_pcs(netlist, graph.num_nodes, self.library,
+                           self.strength)
+
+
+def netlist_pcs(netlist: Netlist, nodes: int, library: CellLibrary,
+                strength: int) -> float:
+    """PCS of an elaborated netlist: the gate-level optimizer, then the
+    order-faithful ``total_area`` fold, per RTL node -- what
+    ``synthesize(...).pcs`` computes."""
+    optimized, _ = optimize_netlist(netlist, check=False)
+    area = total_area(optimized, library, strength)
+    return area / nodes if nodes else 0.0

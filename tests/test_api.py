@@ -180,6 +180,34 @@ class TestArtifactCache:
         other.fit(corpus)
         assert other.store.misses > before
 
+    def test_model_saved_under_old_payload_is_not_loaded(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        """A store filled before the model-format version holds an
+        unversioned bundle under the old key; ``fit`` must retrain
+        rather than hand that model to the walk, even if the same bundle
+        sits under the new key."""
+        from test_persist import save_unversioned
+
+        from repro.diffusion import train_diffusion
+        from repro.diffusion.persist import FORMAT_VERSION
+
+        config = resolve_preset("smoke", seed=0)
+        old = train_diffusion(corpus, config.diffusion)
+        payload = {"config": config.diffusion.__dict__,
+                   "graphs": graphs_fingerprint(corpus)}
+        store = ArtifactStore(tmp_path)
+        for key in (ArtifactStore.key("diffusion", payload),
+                    ArtifactStore.key("diffusion",
+                                      {**payload, "format": FORMAT_VERSION})):
+            save_unversioned(old, store.path(key, ".npz"))
+        fits = []
+        monkeypatch.setattr(engine_mod, "train_diffusion",
+                            lambda *a, **k: fits.append(1) or old)
+        session = Session(config=config, cache_dir=tmp_path).fit(corpus)
+        assert fits == [1]
+        assert session.store.hits == 0
+
     def test_synth_memoized_across_sessions(self, session, corpus, store_dir):
         first = session.synth(SynthRequest(corpus[1], 1.25))
         fresh = Session(preset="smoke", cache_dir=store_dir)

@@ -207,6 +207,19 @@ class TestCli:
         slow.write(baseline)
         assert main([*run, "-o", str(out), "--compare", str(baseline)]) == 0
 
+    def test_cli_bench_filter_is_repeatable(self, tmp_path, capsys):
+        """Every ``--filter`` counts: a benchmark matching any one runs."""
+        from repro.cli import main
+
+        out = tmp_path / "BENCH_smoke.json"
+        run = ["bench", "--filter", "simulate.scalar", "--filter", "metrics",
+               "--repeats", "1", "--warmup", "0", "-o", str(out)]
+        assert main(run) == 0
+        capsys.readouterr()
+        assert [r.name for r in BenchReport.load(out).records] == [
+            "simulate.scalar", "metrics.structural",
+        ]
+
     def test_cli_bench_profile_flag(self, tmp_path, monkeypatch, capsys):
         # --profile prints the per-op drift table against the committed
         # BENCH_<suite>.json in the working directory.

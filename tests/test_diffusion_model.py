@@ -1,5 +1,6 @@
 """Tests for the denoising network, training, and sampling."""
 
+import dataclasses
 import hashlib
 import os
 import pathlib
@@ -17,16 +18,24 @@ from repro.diffusion import (
     AttributeSampler,
     DenoisingNetwork,
     DiffusionConfig,
+    DirectedMPNNEncoder,
     graph_attributes,
     sample_initial_graph,
     train_diffusion,
     width_bucket,
 )
 from repro.diffusion import model as model_module
-from repro.diffusion.features import NUM_WIDTH_BUCKETS
+from repro.diffusion.features import NUM_WIDTH_BUCKETS, PairBlock
 from repro.diffusion.schedule import NoiseSchedule
 from repro.diffusion.train import _edge_pairs
-from repro.ir import NUM_TYPES, GraphBuilder, NodeType, type_index
+from repro.ir import (
+    NUM_TYPES,
+    GraphBuilder,
+    NodeType,
+    arity_of,
+    type_from_index,
+    type_index,
+)
 from repro.nn import Adam, Tensor, bce_with_logits, sigmoid_np, time_features
 
 
@@ -139,17 +148,21 @@ class TestDenoisingNetwork:
         assert asym > 1e-8
 
     def test_predict_full_matches_pair_path(self):
+        """On the legal block, the numpy inference path scores exactly
+        the pairs the tape forward scores, to the same values."""
         net = DenoisingNetwork(hidden=16, num_layers=2, seed=0)
         g = tiny_graph()
         types, buckets = graph_attributes(g)
         a_t = g.adjacency()
-        n = g.num_nodes
-        full = net.predict_full(types, buckets, a_t, 0.4)
-        src, dst = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        block = PairBlock.legal(types)
+        full = net.predict_full(types, buckets, block.gather(a_t), 0.4,
+                                block=block)
+        assert full.shape == block.shape
+        src, dst = np.meshgrid(block.drivers, block.receivers, indexing="ij")
         logits = net(
             types, buckets, a_t, 0.4, src.ravel(), dst.ravel()
         )
-        pair_probs = 1 / (1 + np.exp(-logits.numpy().reshape(n, n)))
+        pair_probs = 1 / (1 + np.exp(-logits.numpy().reshape(block.shape)))
         np.testing.assert_allclose(full, pair_probs, atol=1e-10)
 
     def test_time_conditioning_changes_output(self):
@@ -238,8 +251,9 @@ def fast_trained():
 
 def test_float32_decoder_within_tolerance_on_population(fast_trained):
     """On a seeded population of 48-384 nodes, every denoiser forward of
-    the reverse walk gives P_E within :data:`DECODE_TOLERANCE` of the
-    float64 unblocked decoder fed the same node embeddings."""
+    the reverse walk gives P_E on the legal block within
+    :data:`DECODE_TOLERANCE` of the float64 unblocked decoder fed the
+    same node embeddings."""
     model = fast_trained.model
     steps = fast_trained.schedule.num_steps
     rng = np.random.default_rng(2026)
@@ -249,19 +263,23 @@ def test_float32_decoder_within_tolerance_on_population(fast_trained):
         item = np.random.default_rng([2026, n])
         types, widths = fast_trained.attributes.sample(n, item)
         buckets = np.array([width_bucket(int(w)) for w in widths])
-        schedule = NoiseSchedule.cosine(steps, fast_trained.target_density(n))
-        bias = fast_trained.calibration_bias(n)
-        a_t = schedule.prior_sample((n, n), item)
+        block = PairBlock.legal(types)
+        pairs = block.size
+        schedule = NoiseSchedule.cosine(
+            steps, fast_trained.target_density(n, pairs))
+        bias = fast_trained.calibration_bias(n, pairs)
+        a_blk = schedule.prior_sample(block.shape, item)
         drift = 0.0
         for t in range(steps, 0, -1):
-            p_x0 = model.predict_full(types, buckets, a_t, t / steps,
-                                      logit_bias=bias)
-            h = model._encode_np(types, buckets, a_t, t / steps)
+            p_x0 = model.predict_full(types, buckets, a_blk, t / steps,
+                                      logit_bias=bias, block=block)
+            h = model._encode_np(types, buckets, block.scatter(a_blk),
+                                 t / steps)
             want = _unblocked_decode(model, h[None], t / steps, bias)[0]
-            drift = max(drift, float(np.abs(p_x0 - want).max()))
-            p_draw = (schedule.posterior_probability(a_t, p_x0, t)
+            drift = max(drift, float(np.abs(p_x0 - block.gather(want)).max()))
+            p_draw = (schedule.posterior_probability(a_blk, p_x0, t)
                       if t > 1 else p_x0)
-            a_t = item.random((n, n)) < p_draw
+            a_blk = item.random(block.shape) < p_draw
         worst.append((n, drift))
     assert all(drift <= DECODE_TOLERANCE for _, drift in worst), worst
 
@@ -388,6 +406,96 @@ class TestBatchSampling:
             sample_batch(trained, [10, 12], [np.random.default_rng(0)])
 
 
+def _legal_mask(types):
+    """(N, N) mask of the pairs Phase 2 can use, from the type rules:
+    the driver is not an ``out`` and the receiver takes parents."""
+    kinds = [type_from_index(int(t)) for t in types]
+    drives = np.array([k is not NodeType.OUT for k in kinds])
+    receives = np.array([arity_of(k) > 0 for k in kinds])
+    return drives[:, None] & receives[None, :]
+
+
+class TestLegalBlock:
+    """Phase 1 noises, scores and samples only drivers x receivers."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        graphs = load_corpus()[:5]
+        cfg = DiffusionConfig(epochs=15, hidden=24, num_layers=2, seed=0)
+        return train_diffusion(graphs, cfg)
+
+    def test_block_follows_type_rules(self):
+        types = np.arange(NUM_TYPES)
+        block = PairBlock.legal(types)
+        mask = np.zeros((NUM_TYPES, NUM_TYPES), dtype=bool)
+        mask[np.ix_(block.drivers, block.receivers)] = True
+        np.testing.assert_array_equal(mask, _legal_mask(types))
+        dense = np.arange(NUM_TYPES ** 2).reshape(NUM_TYPES, NUM_TYPES)
+        np.testing.assert_array_equal(
+            block.scatter(block.gather(dense)), np.where(mask, dense, 0))
+        # The encoder's aggregation of a block is the dense one of its
+        # scatter, bit for bit.
+        a_blk = np.random.default_rng(1).random(block.shape) < 0.3
+        np.testing.assert_array_equal(
+            DirectedMPNNEncoder.aggregation_matrix(a_blk, block),
+            DirectedMPNNEncoder.aggregation_matrix(block.scatter(a_blk)))
+
+    def test_no_edge_or_probability_outside_block(self, trained):
+        """Both sampler paths, over attributes drawn uniformly from
+        every node type: no sampled edge and no nonzero P_E lies off the
+        legal block, and every legal pair is scored."""
+        from repro.diffusion import sample_batch
+
+        every_type = AttributeSampler.__new__(AttributeSampler)
+        every_type._pairs = np.array([[t, 4] for t in range(NUM_TYPES)])
+        uniform = dataclasses.replace(trained, attributes=every_type)
+        sizes = [12, 30, 30, 57, 23]
+        spawn = np.random.SeedSequence(7).spawn(len(sizes))
+        batch = sample_batch(uniform, sizes,
+                             [np.random.default_rng(c) for c in spawn])
+        solo = [sample_initial_graph(uniform, n, rng=np.random.default_rng(c))
+                for n, c in zip(sizes, spawn)]
+        seen = set()
+        for result in [*batch, *solo]:
+            legal = _legal_mask(result.types)
+            assert not result.adjacency[~legal].any()
+            assert not result.edge_probability[~legal].any()
+            assert (result.edge_probability[legal] > 0).all()
+            seen.update(result.types.tolist())
+        assert seen == set(range(NUM_TYPES))
+
+    @pytest.mark.parametrize("kind", [NodeType.IN, NodeType.CONST,
+                                      NodeType.OUT])
+    def test_empty_block_walks(self, trained, kind):
+        """All-source attributes have no receivers, all-``out`` ones no
+        drivers: the walk returns an empty graph without error."""
+        types = np.full(10, type_index(kind))
+        widths = np.full(10, 4)
+        result = sample_initial_graph(trained, types=types, widths=widths,
+                                      rng=np.random.default_rng(0))
+        assert result.adjacency.shape == (10, 10)
+        assert not result.adjacency.any()
+        assert not result.edge_probability.any()
+        block = PairBlock.legal(types)
+        (p_e,) = trained.model.predict_full_batch(
+            types[None], np.full((1, 10), width_bucket(4)),
+            [np.zeros(block.shape, dtype=bool)], 0.5, blocks=[block])
+        assert p_e.shape == block.shape
+
+    def test_edge_pairs_never_emit_an_illegal_negative(self):
+        for g in load_corpus():
+            a0 = g.adjacency()
+            types, _ = graph_attributes(g)
+            legal = _legal_mask(types)
+            block = PairBlock.legal(types)
+            rng = np.random.default_rng(len(g.name))
+            for _ in range(5):
+                src, dst, target = _edge_pairs(a0, 8.0, rng, block)
+                assert legal[src, dst].all(), g.name
+                assert (target == a0[src, dst]).all(), g.name
+                assert (target == 0).sum() > 0, g.name
+
+
 def _training_inputs():
     """(name, types, widths, clean adjacency): corpus designs plus a graph
     with no edges and a 2-node graph."""
@@ -469,7 +577,7 @@ class TestFusedTrainingStep:
 #: measured on the autograd-tape training loop; the fused numpy step must
 #: reproduce them exactly.  They move only in a change that sets out to
 #: change the fitted model.
-FIT_PIN = ("8d7f18bde3a90345", "d8328aa86526cd6e")
+FIT_PIN = ("bac1b0d3d33598de", "fe0e7a42425135bd")
 
 _FIT_SCRIPT = """
 import hashlib

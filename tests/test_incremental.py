@@ -185,6 +185,53 @@ class TestDeltaOracle:
         assert values[1] == synthesize(other, check=False).pcs
 
 
+    @pytest.mark.parametrize("design", ["uart_tx", "alu"])
+    def test_accepted_candidate_carries_forward_as_base(
+        self, design, monkeypatch
+    ):
+        """Rebasing onto the candidate the oracle just scored keeps that
+        candidate's delta as the new base (parent chain cut) instead of
+        re-elaborating the design, and the oracle stays equal to fresh
+        synthesis across two accepted generations."""
+        builds = []
+        real = DeltaNetlist.from_graph.__func__
+        monkeypatch.setattr(DeltaNetlist, "from_graph", classmethod(
+            lambda cls, g, check=True: builds.append(g) or real(cls, g, check)))
+        graph = load_design(design)
+        engine = IncrementalReward(clock_period=CLOCK)
+        engine.rebase(graph)
+        # The first base's exact PCS comes from its tracked elaboration.
+        assert engine.base_pcs == synthesize(graph, check=False).pcs
+        oracle = DeltaOracle(engine)
+        rng = np.random.default_rng(3)
+        state = graph
+        for generation in range(2):
+            candidate = swap_chain(state, rng, 3)[-1]
+            pcs = oracle(candidate)
+            assert pcs == synthesize(candidate, check=False).pcs
+            carried = engine._candidate
+            state = candidate.flatten()
+            engine.rebase(state, exact_pcs=pcs)
+            assert engine._base.parent is None
+            assert engine._base.graph is state
+            assert engine._base.artifacts is carried.artifacts
+            assert oracle(state) == pcs
+        assert builds == [graph]  # the first base only
+        assert oracle.counters() == (4, 0, 0)
+
+    def test_rebase_elsewhere_drops_the_candidate(self):
+        graph = load_design("uart_tx")
+        engine = IncrementalReward(clock_period=CLOCK)
+        engine.rebase(graph)
+        oracle = DeltaOracle(engine)
+        first, second = swap_chain(graph, np.random.default_rng(5), 2)
+        oracle(first)
+        exact = synthesize(second, check=False).pcs
+        engine.rebase(second.flatten(), exact_pcs=exact)
+        assert engine._base is None and engine._candidate is None
+        assert oracle(second) == synthesize(second, check=False).pcs
+
+
 # ---------------------------------------------------------------------------
 def _assert_replay_exact(graph, cases):
     """Each ``(state, touched)`` replays to ``full_analyze``'s report.

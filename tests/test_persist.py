@@ -1,5 +1,7 @@
 """Tests for trained-generator persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,20 @@ from repro.diffusion import (
     save_trained,
     train_diffusion,
 )
+from repro.diffusion.persist import FORMAT_VERSION, ModelFormatError
+
+
+def save_unversioned(trained, path):
+    """Write ``trained`` as a bundle saved before the format version
+    existed: the same arrays, no ``format`` in the metadata."""
+    save_trained(trained, path)
+    with np.load(path) as bundle:
+        arrays = dict(bundle)
+    config = json.loads(bytes(arrays["config"]).decode())
+    del config["format"]
+    arrays["config"] = np.frombuffer(json.dumps(config).encode(),
+                                     dtype=np.uint8)
+    np.savez_compressed(path, **arrays)
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +85,11 @@ class TestPersistence:
         )
         np.testing.assert_array_equal(r1.adjacency, r2.adjacency)
         np.testing.assert_array_equal(r1.types, r2.types)
+
+    def test_unversioned_bundle_rejected(self, trained, tmp_path):
+        """A bundle from before the legal-block walk holds a model fitted
+        over all N^2 pairs: loading it must fail, not sample with it."""
+        path = tmp_path / "model.npz"
+        save_unversioned(trained, path)
+        with pytest.raises(ModelFormatError, match=f"expected {FORMAT_VERSION}"):
+            load_trained(path)
