@@ -66,7 +66,7 @@ class GenerateRequest:
     ``tier`` overrides the session config's ``MCTSConfig.tier`` for
     this request's Phase 3 search (``None`` keeps the config's choice):
     ``"exact"`` searches every register cone, ``"fast"`` runs the
-    tolerance-gated throughput search (headroom-triaged cones,
+    tolerance-gated throughput search (triaged cones, an early exit,
     estimate-filtered oracle calls).  Phases 1 and 2 do not depend on
     it, so with ``optimize=False`` both tiers return identical graphs.
     Any other value is rejected at construction.  The field is part of

@@ -1,8 +1,9 @@
 """Exact-vs-fast differential harness: the fast tier's quality gate.
 
 The ``fast`` tier (``MCTSConfig.tier``) buys Phase-3 throughput with
-cone triage -- headroom-ordered cones, an early exit after a dud streak,
-and estimate-filtered oracle calls.  Phases 1 and 2 do not depend on
+cone triage -- the cones past the last one with redundancy headroom cut,
+an early exit after a streak of fruitless searches, and
+estimate-filtered oracle calls.  Phases 1 and 2 do not depend on
 the tier.  None of that is *assumed* safe: this module measures what it
 actually does to the generated population.  :func:`measure_drift` runs
 the same generation request under both tiers and compares the

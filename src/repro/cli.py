@@ -569,8 +569,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--tier", choices=["exact", "fast"], default=None,
         help="Phase-3 search tier: exact (every register cone, "
-             "byte-stable goldens, default) or fast (headroom-triaged "
-             "cones + estimate-filtered oracle calls, tolerance-gated); "
+             "byte-stable goldens, default) or fast (triaged cones, "
+             "early exit, estimate-filtered oracle calls, "
+             "tolerance-gated); "
              "sampling does not depend on it",
     )
     p_gen.add_argument("-o", "--output", default="generated")

@@ -32,8 +32,9 @@ logger = get_logger(__name__)
 #: register order, so results are byte-stable.
 EXACT_TIER = "exact"
 
-#: The throughput tier: headroom-triaged cone search with an early exit
-#: and estimate-filtered oracle calls (see :class:`MCTSConfig`).
+#: The throughput tier: the exact tier's cone order, cut where the
+#: redundancy estimate sees no headroom left, with an early exit (see
+#: :class:`MCTSConfig`).
 FAST_TIER = "fast"
 
 
@@ -93,13 +94,14 @@ class MCTSConfig:
     ``tier`` selects the Phase-3 search budget.  ``"exact"`` (the
     default) keeps every byte-stability guarantee: every register cone
     is searched, in register order.  ``"fast"`` is the throughput tier:
-    the search walks cones in redundancy-headroom order
-    (:func:`_triage_cones`), stops after :data:`FAST_EXIT_PATIENCE`
-    consecutive cones without an accepted rewrite, and skips the
-    synthesis-oracle call for marginal estimate gains
-    (:data:`FAST_ORACLE_MARGIN`).  A design whose base synthesis
-    collapses to nothing searches *every* cone until an accept lifts it
-    off zero -- any cone may hold the rescuing rewrite.  Acceptance
+    the search walks the same register order but skips the cones past
+    the last one with redundancy headroom (:func:`_triage_cones`),
+    stops after :data:`FAST_EXIT_PATIENCE` cones whose search found
+    nothing to improve, and may skip the synthesis-oracle call for
+    marginal estimate gains (:data:`FAST_ORACLE_MARGIN`).  A design
+    whose base synthesis collapses to nothing searches *every* cone
+    until an accept lifts it off zero -- any cone may hold the rescuing
+    rewrite.  Acceptance
     stays oracle-gated in both tiers -- the drift the triage induces is
     bounded by the tier-1 tolerance gate (:mod:`repro.bench.drift`).
     Applies only when the incremental engine is in play; an explicit
@@ -411,8 +413,8 @@ def _search_registers(
         # paper's fully-redundant raw samples) can be saved by *any*
         # cone -- cutting by headroom coverage risks dropping exactly
         # the rewrite that makes it survive synthesis, the catastrophic
-        # drift tail.  Search every cone, in headroom order, until an
-        # accept lifts the PCS off zero.
+        # drift tail.  Search every cone until an accept lifts the PCS
+        # off zero.
         rescue = current_pcs is None or current_pcs <= 1e-12
         cones = _triage_cones(current, cones, keep_all=rescue)
         triaged = True
@@ -516,13 +518,19 @@ def _search_registers(
                 result.best_reward, outcome,
             )
             if triaged:
-                # Cones arrive in headroom order (_triage_cones): a
-                # streak of duds means the estimate's remaining headroom
-                # is not translating into accepted rewrites -- stop
-                # paying for the tail.  Never while the design still
+                # A dud is a cone whose search found no state the
+                # estimate scores higher.  An oracle veto is not one:
+                # the estimate does not predict the oracle's verdict,
+                # so a veto says nothing about the cones left.  A
+                # streak of duds with no accept between them means the
+                # search has run out of rewrites to try -- stop paying
+                # for the tail.  Never while the design still
                 # synthesizes to nothing: until an accept lifts the PCS
                 # off zero every remaining cone is a rescue candidate.
-                duds = 0 if accepted else duds + 1
+                if accepted:
+                    duds = 0
+                elif not result.improved:
+                    duds += 1
                 if (duds >= FAST_EXIT_PATIENCE and current_pcs is not None
                         and current_pcs > 1e-12):
                     break
@@ -548,27 +556,34 @@ def _search_registers(
     return report
 
 
-#: Fast-tier cone-triage coverage: Phase 3 ranks register cones by the
-#: redundancy estimate's headroom (surviving interior nodes) and keeps
-#: the top cones until they cover this fraction of the circuit's total
-#: headroom.  Adaptive by construction: circuits whose headroom is
-#: spread evenly keep most cones, concentrated ones keep few.  Bypassed
-#: in rescue mode (base PCS of zero), where every cone is a candidate
-#: to make the design survive synthesis at all.
-FAST_CONE_COVERAGE = 0.65
+#: Fast-tier cone-triage coverage: Phase 3 walks register cones in the
+#: exact tier's register order and keeps the shortest prefix that
+#: covers this fraction of the circuit's total redundancy headroom
+#: (interior nodes the estimate says survive synthesis).  At 1.0 only
+#: the cones after the last one with any headroom are cut.  Bypassed in
+#: rescue mode (base PCS of zero), where every cone is a candidate to
+#: make the design survive synthesis at all.  The fast tier keeps the
+#: exact tier's order because a single accepted swap can revive most of
+#: a small sampled circuit (area 92 -> 936 on a 44-node one): a search
+#: that leaves the exact tier's path loses such revivals, and
+#: headroom-ordered triage to 0.65 coverage drifted up to 0.36 in
+#: family-mean area on the tier pool.
+FAST_CONE_COVERAGE = 1.0
 
 #: Fast-tier oracle-call filter: an improved cone state whose relative
 #: estimate gain is below this margin is rejected without spending a
-#: synthesis-oracle call on it.  Marginal estimate gains are the
-#: candidates the oracle most often vetoes anyway; the true gains lost
-#: are bounded by the margin itself and covered by the drift gate.
-FAST_ORACLE_MARGIN = 0.02
+#: synthesis-oracle call on it.  Kept small: on sampled circuits the
+#: estimate gain hardly predicts the oracle's verdict (about half the
+#: candidates are accepted in every gain band, and a +1.4% estimate
+#: was a +35% PCS gain), and a 2% margin alone drifted about 0.3 in
+#: family-mean area on the tier pool.  Below 0.5% the accepted gains
+#: averaged +4% PCS.
+FAST_ORACLE_MARGIN = 0.005
 
-#: Fast-tier early exit: after this many *consecutive* cones searched
-#: without an accepted rewrite, the remaining (lower-headroom) cones are
-#: skipped.  Because cones are visited in headroom order, a dud streak
-#: means the estimate's priced-in gains have dried up.
-FAST_EXIT_PATIENCE = 2
+#: Fast-tier early exit: after this many cones whose search found no
+#: improving state, with no accepted rewrite between them, the
+#: remaining cones are skipped.
+FAST_EXIT_PATIENCE = 3
 
 
 def _worth_oracle(result: ConeSearchResult) -> bool:
@@ -585,21 +600,21 @@ def _worth_oracle(result: ConeSearchResult) -> bool:
 def _triage_cones(
     graph: CircuitGraph, cones: list, keep_all: bool = False
 ) -> list:
-    """Fast-tier cone triage: rank cones by redundancy headroom.
+    """Fast-tier cone triage: cut the cones without redundancy headroom.
 
     One redundancy fixpoint over the whole graph prices every cone at
     once: a cone's headroom is how many of its interior nodes the
     estimate says will *survive* synthesis -- logic the search could
-    still fold away.  Cones are returned in descending-headroom order,
-    pre-filtered to :data:`FAST_CONE_COVERAGE` of the circuit's total
-    headroom (``keep_all`` skips the filter -- rescue mode for designs
-    that synthesize to nothing): the acceptance loop walks them front
-    to back and stops after :data:`FAST_EXIT_PATIENCE` consecutive
-    duds, so the skipped tail is where the estimate says an accepted
-    rewrite is least likely *and* recent searches agree.  The SCPR
-    drift this trades away is measured and bounded by the tier's
-    tolerance gate.
+    still rewire.  Cones stay in register order, the exact tier's, and
+    the shortest prefix covering :data:`FAST_CONE_COVERAGE` of the
+    circuit's total headroom is returned (``keep_all`` skips the cut --
+    rescue mode for designs that synthesize to nothing).  The
+    acceptance loop walks them front to back and stops after
+    :data:`FAST_EXIT_PATIENCE` duds.  The SCPR and area drift this
+    trades away is measured and bounded by the tier's tolerance gate.
     """
+    if keep_all:
+        return list(cones)
     from ..incr.analysis import analyze_redundancy
 
     survivors = analyze_redundancy(graph).survivors()
@@ -609,18 +624,10 @@ def _triage_cones(
     }
     total = sum(headroom.values())
     if total == 0:
-        return list(cones) if keep_all else cones[:1]
-    # Deterministic ranking: headroom first, then the stable register
-    # order `all_cones` already established.
-    ranked = sorted(
-        cones,
-        key=lambda cone: (-headroom[cone.register], cone.register),
-    )
-    if keep_all:
-        return ranked
+        return cones[:1]
     chosen = []
     covered = 0
-    for cone in ranked:
+    for cone in cones:
         if chosen and covered >= FAST_CONE_COVERAGE * total:
             break
         chosen.append(cone)
