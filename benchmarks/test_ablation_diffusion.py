@@ -15,6 +15,7 @@ from repro.diffusion import (
     sample_initial_graph,
     train_diffusion,
 )
+from repro.diffusion.features import PairBlock
 from repro.metrics import structural_similarity
 from repro.postprocess import refine_to_valid
 
@@ -58,7 +59,13 @@ def test_ablation_diffusion_steps(benchmark):
 
 def test_ablation_decoder_asymmetry(benchmark):
     """Measure directional information: a symmetric decoder cannot favour
-    the true edge direction over its reverse."""
+    the true edge direction over its reverse.
+
+    The model sees what it sees in training and sampling: the legal
+    block (drivers x receivers) noised, every other pair 0.  Only edges
+    whose reverse pair is legal too are compared, so the reverse is a
+    pair the model was trained on and the walk would score.
+    """
     train, _ = train_test_split(seed=2025)
     cfg = DiffusionConfig(epochs=80, hidden=32, num_layers=3, seed=0)
     trained = train_diffusion(train, cfg)
@@ -68,9 +75,14 @@ def test_ablation_decoder_asymmetry(benchmark):
     for g in train[:6]:
         types, buckets = graph_attributes(g)
         a0 = g.adjacency()
-        a1 = trained.schedule.sample_t(a0, 1, rng)
-        p = trained.model.predict_full(types, buckets, a1, 1 / 9)
-        fwd = a0 & ~a0.T   # edges whose reverse is absent
+        block = PairBlock.legal(types)
+        a1 = trained.schedule.sample_t(block.gather(a0), 1, rng)
+        p = block.scatter(
+            trained.model.predict_full(types, buckets, a1, 1 / 9, block=block)
+        )
+        legal = block.scatter(np.ones(block.shape, dtype=bool))
+        # Edges whose reverse is absent but legal.
+        fwd = a0 & ~a0.T & legal.T
         if fwd.sum() == 0:
             continue
         margins.append(float(p[fwd].mean() - p.T[fwd].mean()))
@@ -85,9 +97,12 @@ def test_ablation_decoder_asymmetry(benchmark):
         "the asymmetric decoder must assign higher probability to the "
         "true edge direction than to its reverse"
     )
+    types, buckets = graph_attributes(train[0])
+    block = PairBlock.legal(types)
+    a_block = block.gather(train[0].adjacency())
     benchmark.pedantic(
         lambda: trained.model.predict_full(
-            *graph_attributes(train[0]), train[0].adjacency(), 1.0
+            types, buckets, a_block, 1.0, block=block
         ),
         rounds=2, iterations=1,
     )

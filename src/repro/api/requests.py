@@ -65,10 +65,10 @@ class GenerateRequest:
     trace-event JSON.
     ``tier`` overrides the session config's ``MCTSConfig.tier`` for
     this request's Phase 3 search (``None`` keeps the config's choice):
-    ``"exact"`` searches every register cone, ``"fast"`` runs the
-    tolerance-gated throughput search (triaged cones, an early exit,
-    estimate-filtered oracle calls).  Phases 1 and 2 do not depend on
-    it, so with ``optimize=False`` both tiers return identical graphs.
+    ``"exact"`` searches every register cone; ``"fast"`` is accepted
+    but currently runs the same search (see ``MCTSConfig``).  Phases 1
+    and 2 do not depend on it, so with ``optimize=False`` both tiers
+    return identical graphs.
     Any other value is rejected at construction.  The field is part of
     the serve layer's dedup ``request_key``, so exact and fast results
     never alias in the artifact store.

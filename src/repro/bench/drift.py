@@ -1,11 +1,11 @@
 """Exact-vs-fast differential harness: the fast tier's quality gate.
 
-The ``fast`` tier (``MCTSConfig.tier``) buys Phase-3 throughput with
-cone triage -- the cones past the last one with redundancy headroom cut,
-an early exit after a streak of fruitless searches, and
-estimate-filtered oracle calls.  Phases 1 and 2 do not depend on
-the tier.  None of that is *assumed* safe: this module measures what it
-actually does to the generated population.  :func:`measure_drift` runs
+The ``fast`` tier (``MCTSConfig.tier``) names a Phase-3 throughput
+search; it currently runs the exact tier's search, so its drift is
+zero, and this gate guards that any future fast search stays inside
+the published bounds.  Phases 1 and 2 do not depend on the tier.  A
+tier is not *assumed* safe: this module measures what it does to the
+generated population.  :func:`measure_drift` runs
 the same generation request under both tiers and compares the
 per-family mean post-synthesis SCPR and area; tier-1
 (``tests/test_tiers.py``) asserts the relative drift stays inside

@@ -35,6 +35,7 @@ deliberately spans the whole stack:
   the ``exact`` tier (the throughput reference workload)
 * ``e2e.generate_fast`` -- the identical workload in the ``fast`` tier;
   its ``speedup_vs_exact`` meta is the fast tier's Phase-3 speedup on it
+  (about 1: the fast tier currently runs the exact search)
 """
 
 from __future__ import annotations

@@ -569,10 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--tier", choices=["exact", "fast"], default=None,
         help="Phase-3 search tier: exact (every register cone, "
-             "byte-stable goldens, default) or fast (triaged cones, "
-             "early exit, estimate-filtered oracle calls, "
-             "tolerance-gated); "
-             "sampling does not depend on it",
+             "byte-stable goldens, default) or fast (currently the "
+             "same search as exact); sampling does not depend on it",
     )
     p_gen.add_argument("-o", "--output", default="generated")
     p_gen.set_defaults(func=_cmd_generate)

@@ -32,9 +32,9 @@ logger = get_logger(__name__)
 #: register order, so results are byte-stable.
 EXACT_TIER = "exact"
 
-#: The throughput tier: the exact tier's cone order, cut where the
-#: redundancy estimate sees no headroom left, with an early exit (see
-#: :class:`MCTSConfig`).
+#: The throughput tier's name.  It runs the exact tier's search: the
+#: cone triage it used to run drifted past its tolerance gate on
+#: sampled circuits (see :class:`MCTSConfig`).
 FAST_TIER = "fast"
 
 
@@ -91,22 +91,14 @@ class MCTSConfig:
     closed) -- keeping the search inside the original design's
     observable behaviour.
 
-    ``tier`` selects the Phase-3 search budget.  ``"exact"`` (the
-    default) keeps every byte-stability guarantee: every register cone
-    is searched, in register order.  ``"fast"`` is the throughput tier:
-    the search walks the same register order but skips the cones past
-    the last one with redundancy headroom (:func:`_triage_cones`),
-    stops after :data:`FAST_EXIT_PATIENCE` cones whose search found
-    nothing to improve, and may skip the synthesis-oracle call for
-    marginal estimate gains (:data:`FAST_ORACLE_MARGIN`).  A design
-    whose base synthesis collapses to nothing searches *every* cone
-    until an accept lifts it off zero -- any cone may hold the rescuing
-    rewrite.  Acceptance
-    stays oracle-gated in both tiers -- the drift the triage induces is
-    bounded by the tier-1 tolerance gate (:mod:`repro.bench.drift`).
-    Applies only when the incremental engine is in play; an explicit
-    ``reward_fn`` is always exact-gated as before.  Phases 1 and 2 do
-    not depend on the tier.
+    ``tier`` names the Phase-3 search budget.  ``"exact"`` (the
+    default) searches every register cone, in register order, so
+    results are byte-stable.  ``"fast"`` is accepted and kept apart in
+    request keys, but runs the same search: its cone triage (cones cut
+    by redundancy headroom, an early exit, an oracle-call margin)
+    drifted further from the exact tier than the exact search drifts
+    from itself at another seed, on the sampled circuits the tier gate
+    runs.  Phases 1 and 2 do not depend on the tier.
 
     ``sanitize`` audits the run with :mod:`repro.lint.sanitize`: every
     incrementally maintained structure the search touches (GraphView
@@ -376,7 +368,6 @@ def _search_registers(
     search_base, incremental, oracle = _resolve_search_rewards(
         config, reward_fn
     )
-    fast = config.tier == FAST_TIER and incremental is not None
     sanitizer = _sanitizer_from_config(config.sanitize, seed=config.seed)
     current = start = graph.copy()
     report = OptimizationReport(
@@ -399,26 +390,9 @@ def _search_registers(
     evaluator = ConeBatchEvaluator(seed=config.seed)
 
     cones = all_cones(current)
-    triaged = False
     if registers is not None:
         wanted = set(registers)
         cones = [c for c in cones if c.register in wanted]
-    elif fast and len(cones) > 1:
-        # The base PCS decides the triage mode and the first cone's
-        # rebase reuses it, so this synthesis is not an extra cost.
-        if incremental is not None:
-            incremental.rebase(current, exact_pcs=current_pcs)
-            current_pcs = incremental.base_pcs
-        # Rescue mode: a design that synthesizes to nothing (the
-        # paper's fully-redundant raw samples) can be saved by *any*
-        # cone -- cutting by headroom coverage risks dropping exactly
-        # the rewrite that makes it survive synthesis, the catastrophic
-        # drift tail.  Search every cone until an accept lifts the PCS
-        # off zero.
-        rescue = current_pcs is None or current_pcs <= 1e-12
-        cones = _triage_cones(current, cones, keep_all=rescue)
-        triaged = True
-    duds = 0
     # The sanitizing context is a no-op for sanitizer=None; inside it the
     # incremental machinery's checkpoints (SwapIndex, delta netlists,
     # patched simulators, dirty-cone analysis) audit themselves.
@@ -474,13 +448,6 @@ def _search_registers(
                         # re-synthesize.
                         current_pcs = None
                         accepted = True
-                    elif fast and not _worth_oracle(result):
-                        # Fast tier: a marginal estimate gain is the
-                        # candidate the oracle most often vetoes --
-                        # reject it without the synthesis call.  The
-                        # true marginal gains lost here are bounded by
-                        # the margin and the tier's drift gate.
-                        pass
                     else:
                         with span("mcts.oracle", register=cone.register):
                             candidate_pcs = oracle(result.best_graph)
@@ -517,23 +484,6 @@ def _search_registers(
                 cone.register, result.initial_reward,
                 result.best_reward, outcome,
             )
-            if triaged:
-                # A dud is a cone whose search found no state the
-                # estimate scores higher.  An oracle veto is not one:
-                # the estimate does not predict the oracle's verdict,
-                # so a veto says nothing about the cones left.  A
-                # streak of duds with no accept between them means the
-                # search has run out of rewrites to try -- stop paying
-                # for the tail.  Never while the design still
-                # synthesizes to nothing: until an accept lifts the PCS
-                # off zero every remaining cone is a rescue candidate.
-                if accepted:
-                    duds = 0
-                elif not result.improved:
-                    duds += 1
-                if (duds >= FAST_EXIT_PATIENCE and current_pcs is not None
-                        and current_pcs > 1e-12):
-                    break
     if sanitizer is not None:
         report.sanitize_checks = sanitizer.checks_run
     if incremental is not None:
@@ -554,85 +504,6 @@ def _search_registers(
     report.graph = current
     _publish_metrics(report)
     return report
-
-
-#: Fast-tier cone-triage coverage: Phase 3 walks register cones in the
-#: exact tier's register order and keeps the shortest prefix that
-#: covers this fraction of the circuit's total redundancy headroom
-#: (interior nodes the estimate says survive synthesis).  At 1.0 only
-#: the cones after the last one with any headroom are cut.  Bypassed in
-#: rescue mode (base PCS of zero), where every cone is a candidate to
-#: make the design survive synthesis at all.  The fast tier keeps the
-#: exact tier's order because a single accepted swap can revive most of
-#: a small sampled circuit (area 92 -> 936 on a 44-node one): a search
-#: that leaves the exact tier's path loses such revivals, and
-#: headroom-ordered triage to 0.65 coverage drifted up to 0.36 in
-#: family-mean area on the tier pool.
-FAST_CONE_COVERAGE = 1.0
-
-#: Fast-tier oracle-call filter: an improved cone state whose relative
-#: estimate gain is below this margin is rejected without spending a
-#: synthesis-oracle call on it.  Kept small: on sampled circuits the
-#: estimate gain hardly predicts the oracle's verdict (about half the
-#: candidates are accepted in every gain band, and a +1.4% estimate
-#: was a +35% PCS gain), and a 2% margin alone drifted about 0.3 in
-#: family-mean area on the tier pool.  Below 0.5% the accepted gains
-#: averaged +4% PCS.
-FAST_ORACLE_MARGIN = 0.005
-
-#: Fast-tier early exit: after this many cones whose search found no
-#: improving state, with no accepted rewrite between them, the
-#: remaining cones are skipped.
-FAST_EXIT_PATIENCE = 3
-
-
-def _worth_oracle(result: ConeSearchResult) -> bool:
-    """Whether a fast-tier improvement justifies a synthesis-oracle call.
-
-    Requires the relative estimate gain to clear
-    :data:`FAST_ORACLE_MARGIN`; below it the candidate is rejected
-    outright (see the acceptance loop).
-    """
-    floor = abs(result.initial_reward) * FAST_ORACLE_MARGIN
-    return result.best_reward >= result.initial_reward + max(floor, 1e-12)
-
-
-def _triage_cones(
-    graph: CircuitGraph, cones: list, keep_all: bool = False
-) -> list:
-    """Fast-tier cone triage: cut the cones without redundancy headroom.
-
-    One redundancy fixpoint over the whole graph prices every cone at
-    once: a cone's headroom is how many of its interior nodes the
-    estimate says will *survive* synthesis -- logic the search could
-    still rewire.  Cones stay in register order, the exact tier's, and
-    the shortest prefix covering :data:`FAST_CONE_COVERAGE` of the
-    circuit's total headroom is returned (``keep_all`` skips the cut --
-    rescue mode for designs that synthesize to nothing).  The
-    acceptance loop walks them front to back and stops after
-    :data:`FAST_EXIT_PATIENCE` duds.  The SCPR and area drift this
-    trades away is measured and bounded by the tier's tolerance gate.
-    """
-    if keep_all:
-        return list(cones)
-    from ..incr.analysis import analyze_redundancy
-
-    survivors = analyze_redundancy(graph).survivors()
-    headroom = {
-        cone.register: len(survivors.intersection(cone.interior))
-        for cone in cones
-    }
-    total = sum(headroom.values())
-    if total == 0:
-        return cones[:1]
-    chosen = []
-    covered = 0
-    for cone in cones:
-        if chosen and covered >= FAST_CONE_COVERAGE * total:
-            break
-        chosen.append(cone)
-        covered += headroom[cone.register]
-    return chosen
 
 
 #: Failure modes the cone simulation can legitimately hit on a candidate

@@ -150,16 +150,13 @@ class TestAcceptanceSpeedup:
         packed_out = simulate(netlist, stimulus, backend="bitparallel")
         assert scalar_out == packed_out, f"backends disagree on {name}"
 
-        # Best of several runs each: the minimum is the least disturbed
-        # by other load on the machine, and a packed run lasts
-        # milliseconds, so a few more of them cost little.
         scalar = min(timeit.repeat(
             lambda: simulate(netlist, stimulus, backend="scalar"),
-            number=1, repeat=5,
+            number=1, repeat=3,
         ))
         packed = min(timeit.repeat(
             lambda: simulate(netlist, stimulus, backend="bitparallel"),
-            number=1, repeat=15,
+            number=1, repeat=5,
         ))
         assert scalar >= packed * 10.0, (
             f"bit-parallel speedup on {name} is only {scalar / packed:.1f}x"

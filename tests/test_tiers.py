@@ -80,9 +80,6 @@ class TestTierContract:
     def test_published_tolerances_are_sane(self):
         assert 0.0 < FAST_SCPR_TOLERANCE <= 0.5
         assert 0.0 < FAST_AREA_TOLERANCE <= 0.5
-        assert 0.0 < mcts_optimize.FAST_CONE_COVERAGE <= 1.0
-        assert 0.0 <= mcts_optimize.FAST_ORACLE_MARGIN < 1.0
-        assert mcts_optimize.FAST_EXIT_PATIENCE >= 1
 
     def test_session_rejects_unknown_tier(self, session):
         with pytest.raises(ValueError, match="unknown tier"):
