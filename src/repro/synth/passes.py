@@ -113,8 +113,16 @@ def _simplify(
     changed = False
     kept: list[Gate] = []
     find = repl.find
+    parent = repl._parent
     for gate in gates:
-        ins = tuple([find(i) for i in gate.inputs])
+        # Resolve the inputs to their union-find roots.  Most gates have
+        # no aliased input; ``ins`` then stays the gate's own tuple, so
+        # an untouched gate is told by identity and costs no ``find``.
+        ins = inputs = gate.inputs
+        for i in inputs:
+            if i in parent:
+                ins = tuple([find(i) for i in inputs])
+                break
         out = gate.output
         kind = gate.kind
         target: int | None = None
@@ -210,15 +218,25 @@ def _dedupe(gates: list[Gate], repl: _Repl) -> tuple[list[Gate], bool]:
     not_driver: dict[int, int] = {}
     kept: list[Gate] = []
     find = repl.find
+    parent = repl._parent
     for gate in gates:
-        ins = tuple([find(i) for i in gate.inputs])
+        # Input resolution as in _simplify.
+        ins = inputs = gate.inputs
+        for i in inputs:
+            if i in parent:
+                ins = tuple([find(i) for i in inputs])
+                break
         kind = gate.kind
         if kind == "NOT" and ins[0] in not_driver:
             repl.alias(gate.output, not_driver[ins[0]])
             changed = True
             continue
-        key_ins = tuple(sorted(ins)) if kind in ("AND", "OR", "XOR") else ins
-        key = (kind, key_ins)
+        if kind == "AND" or kind == "OR" or kind == "XOR":
+            # Commutative (two inputs): the key is the sorted pair.
+            a, b = ins
+            key = (kind, ins if a <= b else (b, a))
+        else:
+            key = (kind, ins)
         if key in seen:
             repl.alias(gate.output, seen[key])
             changed = True
@@ -226,7 +244,7 @@ def _dedupe(gates: list[Gate], repl: _Repl) -> tuple[list[Gate], bool]:
         seen[key] = gate.output
         if kind == "NOT":
             not_driver[gate.output] = ins[0]
-        kept.append(Gate(kind, ins, gate.output) if ins != gate.inputs else gate)
+        kept.append(Gate(kind, ins, gate.output) if ins != inputs else gate)
     return kept, changed
 
 
@@ -241,7 +259,9 @@ def _dce(
     """
     driver = {g.output: g for g in gates}
     reachable: set[int] = set()
-    stack = [repl.find(net) for _, net in primary_outputs]
+    find = repl.find
+    parent = repl._parent
+    stack = [find(net) for _, net in primary_outputs]
     while stack:
         net = stack.pop()
         if net in reachable:
@@ -251,6 +271,6 @@ def _dce(
         if gate is None:
             continue
         for i in gate.inputs:
-            stack.append(repl.find(i))
+            stack.append(find(i) if i in parent else i)
     kept = [g for g in gates if g.output in reachable]
     return kept, len(kept) != len(gates)
