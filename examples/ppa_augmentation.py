@@ -27,7 +27,7 @@ def main() -> None:
 
     print("generating 10 pseudo-circuits (w/ and w/o MCTS optimization) ...")
     result = session.generate(GenerateRequest(
-        count=10, nodes=(40, 60), optimize=True, seed=3, workers=4,
+        count=10, nodes=(40, 60), optimize=True, seed=3,
     ))
 
     rows = evaluate_augmentation(

@@ -35,8 +35,7 @@ def main() -> None:
     session.fit(verbose=True)
 
     result = session.generate(GenerateRequest(
-        count=3, nodes=(40, 60), optimize=True, seed=1,
-        workers=3, synth_period=1.0,
+        count=3, nodes=(40, 60), optimize=True, seed=1, synth_period=1.0,
     ))
 
     best = None

@@ -39,8 +39,7 @@ for name, diffusion in variants.items():
     t_fit = time.time() - t0
 
     result = session.generate(GenerateRequest(
-        count=3, nodes=reference.num_nodes, optimize=False,
-        seed=0, workers=3,
+        count=3, nodes=reference.num_nodes, optimize=False, seed=0,
     ))
     n = reference.num_nodes
     gini_density = np.mean([r.initial_edges / (n * n) for r in result.records])

@@ -2,13 +2,13 @@
 
 Everything a caller needs lives here: sessions with a persistent
 artifact store, typed request/response objects with JSON round-trips,
-named scenario presets, and multi-threaded generation.
+and named scenario presets.
 
     from repro.api import Session, GenerateRequest
 
     session = Session(preset="fast").fit()
     result = session.generate(
-        GenerateRequest(count=8, nodes=(40, 60), workers=4, seed=1)
+        GenerateRequest(count=8, nodes=(40, 60), seed=1)
     )
     for graph in result.graphs:
         print(graph.name, graph.num_nodes)

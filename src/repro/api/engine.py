@@ -4,8 +4,8 @@
 session-agnostic.  :class:`repro.api.Session` is the one way to generate
 circuits: it derives each item's rng, draws Phase 1 for a chunk of items
 through :meth:`SynCircuit.presample`, runs Phases 2 and 3 per item
-through :meth:`SynCircuit.generate_one`, and adds artifact caching,
-typed requests and parallel fan-out.
+through :meth:`SynCircuit.generate_one`, and adds artifact caching
+and typed requests.
 
 ``SynCircuit.fit`` trains the Phase 1 diffusion model (and optionally the
 Phase 3 PCS discriminator) on real circuit graphs.  Pre-trained
@@ -247,7 +247,7 @@ class SynCircuit:
         timing.  ``mcts_config`` overrides the engine config's Phase 3
         settings for this call only (the session uses it for
         request-scoped knobs like ``GenerateRequest.incremental``
-        without mutating the shared config across worker threads).
+        without mutating the session's config).
         """
         self._check_fitted()
         timings = {"sample": sample_seconds}

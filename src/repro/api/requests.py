@@ -12,8 +12,12 @@ from dataclasses import dataclass, field
 
 from ..diffusion.features import MIN_NODES
 from ..ir import CircuitGraph
-from ..mcts.optimize import EXACT_TIER, FAST_TIER
 from .engine import GenerationRecord, SynCircuitConfig
+
+#: The accepted ``GenerateRequest.tier`` names.  Both run the one
+#: Phase-3 search.
+EXACT_TIER = "exact"
+FAST_TIER = "fast"
 
 
 def _nodes_to_json(nodes: int | tuple[int, int]) -> int | list[int]:
@@ -47,10 +51,13 @@ class GenerateRequest:
     """One generation job: N circuits from a fitted session.
 
     ``nodes`` is a fixed size or an inclusive ``(low, high)`` range drawn
-    independently per item.  ``seed`` fully determines the output; the
-    per-item seed derivation makes ``workers > 1`` bit-identical to the
-    sequential path.  ``synth_period`` (if set) attaches a cached
-    synthesis summary per generated circuit.  ``incremental`` overrides
+    independently per item.  ``seed`` fully determines the output.
+    Items run one after another; ``workers`` only sets the Phase-1
+    chunk size of :meth:`~repro.api.Session.iter_generate` (``4 *
+    workers`` items), so it changes no output bit.  It stays in the
+    schema because the serve protocol and existing clients send it.
+    ``synth_period`` (if set) attaches a cached synthesis summary per
+    generated circuit.  ``incremental`` overrides
     the session config's ``MCTSConfig.incremental`` for this request
     only (``None`` keeps the config's choice): ``False`` forces the
     full-resynthesis oracle reward in the Phase 3 search.
@@ -63,15 +70,11 @@ class GenerateRequest:
     the serve layer stores it next to the result artifact and exposes
     it at ``GET /jobs/<id>/trace`` as Perfetto-loadable Chrome
     trace-event JSON.
-    ``tier`` overrides the session config's ``MCTSConfig.tier`` for
-    this request's Phase 3 search (``None`` keeps the config's choice):
-    ``"exact"`` searches every register cone; ``"fast"`` is accepted
-    but currently runs the same search (see ``MCTSConfig``).  Phases 1
-    and 2 do not depend on it, so with ``optimize=False`` both tiers
-    return identical graphs.
-    Any other value is rejected at construction.  The field is part of
-    the serve layer's dedup ``request_key``, so exact and fast results
-    never alias in the artifact store.
+    ``tier`` selects nothing: Phase 3 has one search, so ``None``,
+    ``"exact"`` and ``"fast"`` return the same graphs.  It stays so that
+    existing requests keep working; any other value is rejected at
+    construction, and the field stays part of the serve layer's dedup
+    ``request_key``.
     A negative ``count`` or ``seed``, a node count (or range low end)
     under :data:`~repro.diffusion.features.MIN_NODES`, which no sample
     can hold, and a ``nodes`` range with ``low > high`` are rejected at

@@ -9,9 +9,8 @@ exposes the whole reproduction through typed requests:
   never retrains, across runs and across processes.
 * :meth:`generate` / :meth:`iter_generate` -- produce synthetic
   circuits, all at once or streamed in index order.  Per-item seeds are
-  derived with ``np.random.SeedSequence(seed).spawn``, so any
-  ``workers`` count is bit-identical to the sequential run and any item
-  can be recomputed in isolation.
+  derived with ``np.random.SeedSequence(seed).spawn``, so any item can
+  be recomputed in isolation.
 * :meth:`synth` -- synthesis with store-backed memoization of the PPA
   summary.
 * :meth:`evaluate` -- Table II structural similarity vs a reference.
@@ -20,17 +19,13 @@ exposes the whole reproduction through typed requests:
 
     with Session(preset="fast") as session:
         session.fit()
-        result = session.generate(count=8, nodes=(40, 60), workers=4)
+        result = session.generate(count=8, nodes=(40, 60))
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import dataclasses
-import functools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
 import numpy as np
@@ -58,10 +53,8 @@ class BatchItemError(RuntimeError):
     """One item of a generation request failed.
 
     Carries the failing item's ``index`` (and item name) and chains the
-    original exception as ``__cause__``.  When it is raised, no pending
-    sibling will start; with ``workers > 1``, items already running are
-    allowed to finish (threads cannot be aborted) but their results are
-    discarded.
+    original exception as ``__cause__``.  When it is raised, no later
+    item has started.
     """
 
     def __init__(self, index: int, name: str, cause: BaseException):
@@ -77,8 +70,7 @@ def _item_rngs(seed: int, count: int) -> list[np.random.Generator]:
     """Independent, deterministic per-item generators.
 
     ``SeedSequence.spawn`` keys depend only on (seed, index), never on
-    execution order -- the property that makes worker fan-out reproduce
-    the sequential path bit-for-bit.
+    execution order or chunking -- so any item can be recomputed alone.
     """
     return [
         np.random.default_rng(child)
@@ -212,10 +204,8 @@ class Session:
             overrides["incremental"] = request.incremental
         if request.sanitize and not self.config.mcts.sanitize:
             overrides["sanitize"] = True
-        if request.tier is not None and request.tier != self.config.mcts.tier:
-            overrides["tier"] = request.tier
         if overrides:
-            # Request-scoped copy: workers share the session config.
+            # Request-scoped copy: the session config stays as built.
             mcts_config = dataclasses.replace(self.config.mcts, **overrides)
         with span("session.item", index=index, nodes=len(sample.types)):
             return self.engine.generate_one(
@@ -234,51 +224,29 @@ class Session:
         items share one :meth:`repro.api.engine.SynCircuit.presample`
         (Phase 1 with shared denoiser forwards).  Grouped forwards only
         share *compute* -- every item draws from its own generator -- so
-        neither the chunk size nor ``request.workers`` can change an
-        output bit.  With ``workers <= 1`` items run inline, so their
-        spans nest under the caller's; otherwise they fan out over one
-        thread pool.  If item ``k`` fails, every record before ``k`` has
-        been yielded, pending items are cancelled, and
-        :class:`BatchItemError` is raised with index ``k``.
+        the chunk size cannot change an output bit.  Items run inline, so
+        their spans nest under the caller's.  If item ``k`` fails, every
+        record before ``k`` has been yielded, no later item has started,
+        and :class:`BatchItemError` is raised with index ``k``.
         """
         rngs = _item_rngs(request.seed, request.count)
         sizes = self._draw_sizes(request, rngs)
-        parallel = request.workers > 1
-        with (ThreadPoolExecutor(max_workers=request.workers)
-              if parallel else contextlib.nullcontext()) as pool:
-            for lo in range(0, request.count, chunk):
-                hi = min(lo + chunk, request.count)
-                with span("session.presample", count=hi - lo):
-                    samples, per_item = self.engine.presample(
-                        sizes[lo:hi], rngs[lo:hi]
+        for lo in range(0, request.count, chunk):
+            hi = min(lo + chunk, request.count)
+            with span("session.presample", count=hi - lo):
+                samples, per_item = self.engine.presample(
+                    sizes[lo:hi], rngs[lo:hi]
+                )
+            for k in range(lo, hi):
+                try:
+                    record = self._generate_item(
+                        k, rngs[k], request, samples[k - lo], per_item
                     )
-                calls = [
-                    functools.partial(
-                        self._generate_item, k, rngs[k], request,
-                        samples[k - lo], per_item,
-                    )
-                    for k in range(lo, hi)
-                ]
-                futures = []
-                if parallel:
-                    # Pool threads do not inherit ContextVars; each item
-                    # runs in a copy of the submitting context so an
-                    # active trace recorder (and sanitizer) follows it.
-                    futures = [
-                        pool.submit(contextvars.copy_context().run, call)
-                        for call in calls
-                    ]
-                    calls = [future.result for future in futures]
-                for k, call in enumerate(calls, lo):
-                    try:
-                        record = call()
-                    except Exception as exc:
-                        for future in futures:
-                            future.cancel()
-                        raise BatchItemError(
-                            k, f"{request.name_prefix}{k}", exc
-                        ) from exc
-                    yield record
+                except Exception as exc:
+                    raise BatchItemError(
+                        k, f"{request.name_prefix}{k}", exc
+                    ) from exc
+                yield record
 
     def finish(
         self,
@@ -309,15 +277,12 @@ class Session:
     def generate(
         self, request: GenerateRequest | None = None, **kwargs
     ) -> GenerateResult:
-        """Generate ``request.count`` circuits over ``request.workers``
-        threads.
+        """Generate ``request.count`` circuits.
 
         Phase 1 runs up front as one batched diffusion pass; refinement
-        and optimization then run per item.  The output is bit-identical
-        for every ``workers`` value; only wall-clock changes.  A failing
-        item cancels the pending items and raises
-        :class:`BatchItemError` with its index (the original exception
-        chained as ``__cause__``).
+        and optimization then run per item, in index order.  A failing
+        item stops the batch and raises :class:`BatchItemError` with its
+        index (the original exception chained as ``__cause__``).
         """
         request = request or GenerateRequest(**kwargs)
         started = time.perf_counter()

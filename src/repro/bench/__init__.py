@@ -15,7 +15,6 @@ guess.  ``compare`` gates CI on the committed baseline.
 """
 
 from .core import Benchmark, BenchRecord, run_benchmark
-from .drift import DriftReport, FamilyDrift, measure_drift
 from .report import (
     SCHEMA_VERSION,
     BenchReport,
@@ -33,10 +32,7 @@ __all__ = [
     "BenchRecord",
     "BenchReport",
     "Benchmark",
-    "DriftReport",
-    "FamilyDrift",
     "Regression",
-    "measure_drift",
     "build_serve_benchmarks",
     "build_suite",
     "compare",

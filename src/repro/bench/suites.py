@@ -31,11 +31,8 @@ deliberately spans the whole stack:
   Phase 1's cost; it scores each graph's legal block, as sampling does
 * ``metrics.structural`` -- Table II structural-similarity metrics
 * ``e2e.generate``     -- one full Session.generate (all three phases)
-* ``e2e.generate_batch`` -- a batch-8 mixed-size Session.generate in
-  the ``exact`` tier (the throughput reference workload)
-* ``e2e.generate_fast`` -- the identical workload in the ``fast`` tier;
-  its ``speedup_vs_exact`` meta is the fast tier's Phase-3 speedup on it
-  (about 1: the fast tier currently runs the exact search)
+* ``e2e.generate_batch`` -- a batch-8 mixed-size Session.generate
+  (the throughput reference workload)
 """
 
 from __future__ import annotations
@@ -447,26 +444,16 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
         )
         return None
 
-    # The two-tier throughput workload: one batch-8 mixed-size request,
-    # run once per tier.  The family (nodes 68-84, seed 7) is one the
-    # drift gate in tests/test_tiers.py pins, so the speedup and the
-    # quality bound are measured on the same workload.  The seed is
-    # deliberately not the suite seed: the family is curated.
-    def _e2e_batch(session, tier):
+    # The throughput workload: one batch-8 mixed-size request.  Its
+    # family (nodes 68-84, seed 7) stays fixed so the committed
+    # baseline's timings remain comparable; it is not the suite seed.
+    def e2e_batch_run(session):
         from ..api import GenerateRequest
 
         session.generate(
-            GenerateRequest(
-                count=8, nodes=(68, 84), optimize=True, seed=7, tier=tier
-            )
+            GenerateRequest(count=8, nodes=(68, 84), optimize=True, seed=7)
         )
         return 8
-
-    def e2e_batch_exact_run(session):
-        return _e2e_batch(session, "exact")
-
-    def e2e_batch_fast_run(session):
-        return _e2e_batch(session, "fast")
 
     benchmarks = [
         Benchmark("simulate.scalar", sim_setup, sim_scalar,
@@ -492,14 +479,10 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
         Benchmark("metrics.structural", metrics_setup, metrics_run),
         Benchmark("e2e.generate", e2e_setup, e2e_run, repeats=2,
                   meta={"nodes": 44, "optimize": True}),
-        Benchmark("e2e.generate_batch", e2e_setup, e2e_batch_exact_run,
+        Benchmark("e2e.generate_batch", e2e_setup, e2e_batch_run,
                   repeats=3,
                   meta={"nodes": [68, 84], "count": 8, "seed": 7,
-                        "optimize": True, "tier": "exact"}),
-        Benchmark("e2e.generate_fast", e2e_setup, e2e_batch_fast_run,
-                  repeats=3,
-                  meta={"nodes": [68, 84], "count": 8, "seed": 7,
-                        "optimize": True, "tier": "fast"}),
+                        "optimize": True}),
     ]
     if config.use_diffusion:
         benchmarks.insert(
@@ -584,23 +567,12 @@ def run_suite(
         traced.meta["overhead_vs_untraced"] = round(
             traced.wall_best / untraced.wall_best, 2
         )
-    for name in (
-        "diffusion.sample_batch", "e2e.generate_batch", "e2e.generate_fast",
-    ):
+    for name in ("diffusion.sample_batch", "e2e.generate_batch"):
         record = by_name.get(name)
         if record and record.ops:
             record.meta["ms_per_graph"] = round(
                 record.wall_best * 1000.0 / record.ops, 4
             )
-    exact_batch = by_name.get("e2e.generate_batch")
-    fast_batch = by_name.get("e2e.generate_fast")
-    if exact_batch and fast_batch and fast_batch.wall_best > 0:
-        # Identical batch-8 workload, fast tier vs exact tier: the
-        # tiers differ only in Phase 3 (quality drift on this same
-        # family is bounded separately by the tier-1 drift gate).
-        fast_batch.meta["speedup_vs_exact"] = round(
-            exact_batch.wall_best / fast_batch.wall_best, 2
-        )
 
     return BenchReport.stamped(
         suite=suite or preset_name or "custom",

@@ -224,7 +224,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
               f"SCPR {summary.scpr:.2f}, area {summary.area:.1f}")
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
     print(f"wrote {len(result.records)} circuits to {out_dir}/ "
-          f"in {result.elapsed:.1f}s ({args.workers} workers)")
+          f"in {result.elapsed:.1f}s")
     return 0
 
 
@@ -543,9 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.add_argument(
         "--workers", type=int, default=1,
-        help="generation worker threads (bit-identical to sequential); "
-        "Phase-3 search holds the GIL, so 2 ran slower than 1 on a "
-        "25-circuit optimized request (44-46 s vs 34-38 s)",
+        help="accepted for compatibility: items run one after another, "
+        "so it changes neither the output nor the speed",
     )
     p_gen.add_argument("--period", type=float, default=1.0)
     p_gen.add_argument("--seed", type=int, default=0)
@@ -568,9 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.add_argument(
         "--tier", choices=["exact", "fast"], default=None,
-        help="Phase-3 search tier: exact (every register cone, "
-             "byte-stable goldens, default) or fast (currently the "
-             "same search as exact); sampling does not depend on it",
+        help="accepted for compatibility: Phase 3 has one search, so "
+             "both names select it and return the same circuits",
     )
     p_gen.add_argument("-o", "--output", default="generated")
     p_gen.set_defaults(func=_cmd_generate)
@@ -611,7 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--no-optimize", action="store_true")
     p_submit.add_argument(
         "--tier", choices=["exact", "fast"], default=None,
-        help="Phase-3 search tier for the job (part of the dedup key)",
+        help="accepted for compatibility: selects nothing, since Phase 3 "
+             "has one search (still part of the dedup key)",
     )
     p_submit.add_argument(
         "--no-dedupe", action="store_true",

@@ -28,15 +28,6 @@ from .tree import ConeSearchResult, MCTSOptimizer, RewardFn
 
 logger = get_logger(__name__)
 
-#: The default Phase-3 tier: every register cone is searched, in
-#: register order, so results are byte-stable.
-EXACT_TIER = "exact"
-
-#: The throughput tier's name.  It runs the exact tier's search: the
-#: cone triage it used to run drifted past its tolerance gate on
-#: sampled circuits (see :class:`MCTSConfig`).
-FAST_TIER = "fast"
-
 
 @dataclass
 class MCTSConfig:
@@ -91,15 +82,6 @@ class MCTSConfig:
     closed) -- keeping the search inside the original design's
     observable behaviour.
 
-    ``tier`` names the Phase-3 search budget.  ``"exact"`` (the
-    default) searches every register cone, in register order, so
-    results are byte-stable.  ``"fast"`` is accepted and kept apart in
-    request keys, but runs the same search: its cone triage (cones cut
-    by redundancy headroom, an early exit, an oracle-call margin)
-    drifted further from the exact tier than the exact search drifts
-    from itself at another seed, on the sampled circuits the tier gate
-    runs.  Phases 1 and 2 do not depend on the tier.
-
     ``sanitize`` audits the run with :mod:`repro.lint.sanitize`: every
     incrementally maintained structure the search touches (GraphView
     wiring memos, the SwapIndex edge cache, delta netlists, the area
@@ -122,14 +104,7 @@ class MCTSConfig:
     delta: bool = True
     require_functional_equivalence: bool = False
     sanitize: bool = False
-    tier: str = EXACT_TIER
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.tier not in (EXACT_TIER, FAST_TIER):
-            raise ValueError(
-                f"unknown tier {self.tier!r}: expected exact or fast"
-            )
 
 
 @dataclass

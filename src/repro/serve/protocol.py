@@ -12,8 +12,8 @@ Deduplication identity
 ----------------------
 :func:`request_key` is the content address of a generation job: the
 server's resolved scenario config plus the request payload, minus the
-``workers`` field (worker fan-out is bit-identical to sequential by the
-session contract, so it cannot change the artifact).  The key doubles as
+``workers`` field (it only sizes the session's Phase-1 chunks, which
+cannot change the artifact).  The key doubles as
 the :class:`~repro.api.store.ArtifactStore` key under which the finished
 :class:`~repro.api.GenerateResult` is cached -- identical requests
 therefore resolve to the same artifact without touching a worker.
@@ -44,8 +44,8 @@ def new_job_id() -> str:
 def request_key(config: dict, request: dict) -> str:
     """Content address of one generation job (dedup + artifact key)."""
     payload = dict(request)
-    # Bit-identical to sequential by the Session contract; purely a
-    # wall-clock knob, so it is not part of the job's identity.
+    # Only a Phase-1 chunk size in the Session, which changes no
+    # output bit, so it is not part of the job's identity.
     payload.pop("workers", None)
     # Tracing is observation-only (repro.obs contract), so a traced and
     # an untraced submit produce -- and share -- the same artifact.

@@ -274,74 +274,6 @@ PAPER_SCALE = {
 
 
 # ---------------------------------------------------------------------------
-# Exact-vs-fast tier differential (``MCTSConfig.tier``).
-
-#: ``(nodes, seed, count)`` generation-request compositions whose
-#: fast-tier drift was measured deterministic and inside the published
-#: tolerances under the session built by
-#: :func:`tier_differential_session`.  Mixed node ranges, fixed sizes
-#: and odd counts are all represented.  The fuzzer *samples* compositions
-#: from this verified pool rather than inventing arbitrary ones:
-#: fast-tier drift is a property of the trained model and the
-#: composition, so an unvetted composition can sit legitimately outside
-#: tolerance without any code being wrong -- the pool keeps the
-#: differential a regression gate instead of a coin flip.
-TIER_FAMILY_POOL = (
-    ((36, 52), 5, 8),
-    ((36, 52), 5, 7),
-    ((36, 52), 5, 5),
-    (44, 0, 8),
-    (44, 11, 8),
-    (44, 11, 3),
-    ((40, 60), 11, 6),
-    ((40, 60), 11, 5),
-    ((40, 58), 7, 8),
-    ((40, 58), 7, 7),
-    ((42, 58), 4, 8),
-    ((42, 58), 4, 5),
-    ((42, 58), 1, 8),
-    ((68, 84), 7, 8),
-)
-
-
-def tier_batch_compositions(seed, rounds):
-    """``rounds`` pool compositions in a seeded random order.
-
-    Draws whole permutations of :data:`TIER_FAMILY_POOL` so every
-    composition is exercised before any repeats.
-    """
-    rng = np.random.default_rng(seed)
-    picks = []
-    while len(picks) < rounds:
-        order = rng.permutation(len(TIER_FAMILY_POOL))
-        picks.extend(TIER_FAMILY_POOL[i] for i in order)
-    return picks[:rounds]
-
-
-def tier_differential_session():
-    """Fitted smoke-scale session, the drift-verification recipe.
-
-    Matches the ``e2e.generate*`` bench setup (and the fixture of
-    ``tests/test_tiers.py``): smoke preset at seed 0, diffusion trained
-    on the six smallest corpus designs, no artifact caching.  The
-    :data:`TIER_FAMILY_POOL` drift measurements hold for *this* session;
-    a different corpus or preset re-rolls the trained model and with it
-    every family's drift.
-    """
-    from repro.api import Session
-    from repro.api.presets import resolve_preset
-    from repro.bench_designs import load_corpus
-    from repro.diffusion import train_diffusion
-
-    config = resolve_preset("smoke", seed=0)
-    graphs = sorted(load_corpus(), key=lambda g: g.num_nodes)[:6]
-    trained = train_diffusion(graphs, config.diffusion)
-    session = Session(config=config, use_cache=False)
-    session.engine.fit(graphs, trained=trained)
-    return session
-
-
-# ---------------------------------------------------------------------------
 # Generated-population differential: Phase 3 on the circuits users get.
 
 
@@ -378,8 +310,7 @@ def population_differential(session, reference, requests):
 
     Asserts equal graphs and equal SCPR across the three sides for the
     MCTS arm (through ``Session.generate``) and for the random arm
-    (``random_search_registers`` on each unoptimized ``g_val``, at the
-    request's tier).  A sanitized run raises on any S001-S007
+    (``random_search_registers`` on each unoptimized ``g_val``).  A sanitized run raises on any S001-S007
     violation, so completing is the zero-violation check.  Returns the
     number of generated circuits compared.
     """
@@ -407,9 +338,7 @@ def population_differential(session, reference, requests):
         ]
         assert scprs[0] == scprs[1] == scprs[2]
 
-        base = dataclasses.replace(
-            session.config.mcts, tier=request.tier or session.config.mcts.tier
-        )
+        base = session.config.mcts
         configs = [
             dataclasses.replace(base, sanitize=True),
             base,

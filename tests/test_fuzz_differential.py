@@ -34,8 +34,6 @@ from fuzz_harness import (
     population_sessions,
     random_graph,
     swap_chain,
-    tier_batch_compositions,
-    tier_differential_session,
     touched_since,
 )
 
@@ -346,7 +344,7 @@ class TestDeepFuzz:
 # ---------------------------------------------------------------------------
 class TestGeneratedPopulationDifferential:
     """Sanitized, unsanitized and ``delta=False`` Phase 3 agree on
-    generated circuits of 48+ nodes, in both tiers and both search arms
+    generated circuits of 48+ nodes, in both search arms
     (see :func:`fuzz_harness.population_differential`)."""
 
     @pytest.mark.fuzz_smoke
@@ -363,7 +361,7 @@ class TestGeneratedPopulationDifferential:
     @pytest.mark.fuzz_deep
     def test_deep_population(self, fuzz_rounds):
         """``fast``-preset model at the 12/4/4 search budget: 40
-        circuits of 48-384 nodes per round, half in each tier."""
+        circuits of 48-384 nodes per round, half under each tier name."""
         session, reference = population_sessions(
             "fast", train_test_split(seed=2025)[0],
             num_simulations=12, max_depth=4, branching=4,
@@ -377,77 +375,3 @@ class TestGeneratedPopulationDifferential:
         ]
         assert population_differential(session, reference, requests) == \
             40 * fuzz_rounds
-
-
-# ---------------------------------------------------------------------------
-class TestTierDifferential:
-    """Exact-vs-fast generation differential (``MCTSConfig.tier``).
-
-    Random batch compositions -- mixed node ranges, fixed sizes, odd
-    counts -- are drawn from the
-    drift-verified pool in ``fuzz_harness`` and run at both tiers:
-
-    * the fast tier's family-mean SCPR/area drift must stay inside the
-      published ``FAST_SCPR_TOLERANCE`` / ``FAST_AREA_TOLERANCE``;
-    * the exact tier must be untouched by the tier plumbing: repeated
-      ``tier="exact"`` runs and ``tier=None`` (config default) runs are
-      fingerprint-identical, the same byte-stability the ``results/``
-      goldens pin.
-    """
-
-    @pytest.fixture(scope="class")
-    def tier_session(self):
-        return tier_differential_session()
-
-    @pytest.mark.fuzz_smoke
-    def test_random_compositions_stay_inside_tolerance(self, tier_session):
-        from repro.api import GenerateRequest
-        from repro.bench.drift import measure_drift
-
-        requests = [
-            GenerateRequest(
-                count=count, nodes=nodes, optimize=True, seed=seed
-            )
-            for nodes, seed, count in tier_batch_compositions(0, rounds=3)
-        ]
-        # At least one odd count in every smoke draw.  The substitute is
-        # itself a pool composition -- only verified compositions ever
-        # run.
-        if all(request.count % 2 == 0 for request in requests):
-            requests[-1] = GenerateRequest(
-                count=5, nodes=(36, 52), optimize=True, seed=5
-            )
-        report = measure_drift(tier_session, requests, clock_period=2.0)
-        assert len(report.families) == len(requests)
-        assert report.within_tolerance(), "\n".join(report.violations())
-
-    @pytest.mark.fuzz_smoke
-    def test_exact_tier_untouched_by_tier_plumbing(self, tier_session):
-        from repro.api import GenerateRequest
-
-        base = GenerateRequest(count=3, nodes=44, optimize=True, seed=11)
-        first = tier_session.generate(
-            dataclasses.replace(base, tier="exact")
-        )
-        second = tier_session.generate(
-            dataclasses.replace(base, tier="exact")
-        )
-        default = tier_session.generate(base)  # tier=None -> config tier
-        for a, b, c in zip(first.graphs, second.graphs, default.graphs):
-            assert a.to_dict() == b.to_dict() == c.to_dict()
-
-    @pytest.mark.fuzz_deep
-    def test_deep_tier_composition_sweep(self, tier_session, fuzz_rounds):
-        from repro.api import GenerateRequest
-        from repro.bench.drift import measure_drift
-
-        requests = [
-            GenerateRequest(
-                count=count, nodes=nodes, optimize=True, seed=seed
-            )
-            for nodes, seed, count in tier_batch_compositions(
-                1, rounds=4 * fuzz_rounds
-            )
-        ]
-        report = measure_drift(tier_session, requests, clock_period=2.0)
-        assert report.within_tolerance(), "\n".join(report.violations())

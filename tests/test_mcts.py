@@ -1,7 +1,5 @@
 """Tests for Phase 3: cones, swap actions, MCTS search, discriminator."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -421,12 +419,7 @@ class TestConeBatchEvaluator:
         for preserved in report.cone_function_preserved.values():
             assert isinstance(preserved, bool)
         # Both search arms share one acceptance loop, so the diagnostic
-        # is recorded for random search and in the fast tier too.
-        fast = dataclasses.replace(cfg, tier="fast")
-        for other in (
-            random_search_registers(g, config=cfg),
-            optimize_registers(g, config=fast),
-            random_search_registers(g, config=fast),
-        ):
-            assert other.cone_function_preserved
-            assert set(other.cone_function_preserved) <= set(g.registers())
+        # is recorded for random search too.
+        other = random_search_registers(g, config=cfg)
+        assert other.cone_function_preserved
+        assert set(other.cone_function_preserved) <= set(g.registers())

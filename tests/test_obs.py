@@ -92,9 +92,9 @@ class TestSpans:
         assert record.attrs == {"reason": "test"}
 
     def test_recorder_propagates_into_copied_context(self):
-        # Session.generate with workers > 1 submits pool work through
-        # contextvars.copy_context().run -- this is the contract that
-        # makes worker-thread spans land in the caller's recorder.
+        # A thread started through contextvars.copy_context().run
+        # inherits the active recorder -- the contract a caller relies
+        # on to trace work it fans out to its own threads.
         recorder = TraceRecorder()
         results = []
 
@@ -222,8 +222,7 @@ class TestChromeTrace:
 
         with tracing(recorder):
             # One context copy per thread: a Context object can only be
-            # entered by one thread at a time (the Session pool copies
-            # per submit for the same reason).
+            # entered by one thread at a time.
             threads = [
                 threading.Thread(
                     target=contextvars.copy_context().run, args=(work,)

@@ -1,21 +1,13 @@
-"""Two-tier contract: tier plumbing, bit-identity, drift gate.
+"""Tier plumbing and the exact sampler.
 
-The tier (``MCTSConfig.tier``) is a Phase-3 search setting:
+Phase 3 has one search, so ``GenerateRequest.tier`` selects nothing:
 
-* the tier *names* and published tolerances are stable API, and an
-  unknown tier is rejected when the config or the request is built;
-* sampling is byte-stable and tier-free -- ``sample_batch`` stays
-  element-wise bit-identical to solo sampling, a request with
-  ``tier="exact"`` produces exactly what ``tier=None`` does, and
-  without Phase 3 a ``tier="fast"`` request does too;
-* the ``fast`` tier is tolerance-gated -- :func:`measure_drift` runs
-  the pinned gate families at both tiers and the family-mean SCPR/area
-  drift must sit inside ``FAST_SCPR_TOLERANCE`` / ``FAST_AREA_TOLERANCE``.
-
-The gate families are drift-verified compositions; the ``(68, 84)``
-seed-7 family is the one ``BENCH_smoke.json`` records
-``speedup_vs_exact`` on, so its drift stays pinned here alongside the
-throughput claim.
+* the tier names are stable API, and an unknown tier is rejected when
+  the request is built;
+* sampling is byte-stable -- ``sample_batch`` stays element-wise
+  bit-identical to solo sampling;
+* ``tier="exact"`` and ``tier="fast"`` return exactly what ``tier=None``
+  does, with and without Phase 3.
 """
 
 from __future__ import annotations
@@ -26,16 +18,10 @@ import numpy as np
 import pytest
 
 from repro.api import GenerateRequest, Session
+from repro.api import requests as api_requests
 from repro.api.presets import resolve_preset
-from repro.bench.drift import (
-    FAST_AREA_TOLERANCE,
-    FAST_SCPR_TOLERANCE,
-    measure_drift,
-)
 from repro.bench_designs import load_corpus
 from repro.diffusion import sample_batch, sample_initial_graph, train_diffusion
-from repro.mcts import MCTSConfig
-from repro.mcts import optimize as mcts_optimize
 from repro.obs import registry
 
 
@@ -65,21 +51,16 @@ def _item_rngs(seed: int, count: int) -> list[np.random.Generator]:
 
 class TestTierContract:
     def test_tier_names_and_checks(self):
-        assert mcts_optimize.EXACT_TIER == "exact"
-        assert mcts_optimize.FAST_TIER == "fast"
-        assert MCTSConfig().tier == "exact"
-        assert MCTSConfig(tier="fast").tier == "fast"
+        assert api_requests.EXACT_TIER == "exact"
+        assert api_requests.FAST_TIER == "fast"
         assert GenerateRequest().tier is None
+        assert GenerateRequest(tier="fast").to_dict()["tier"] == "fast"
         with pytest.raises(ValueError, match="unknown tier"):
-            MCTSConfig(tier="turbo")
+            GenerateRequest(tier="turbo")
         with pytest.raises(ValueError, match="unknown tier"):
-            dataclasses.replace(MCTSConfig(), tier="")
+            dataclasses.replace(GenerateRequest(), tier="")
         with pytest.raises(ValueError, match="unknown tier"):
             GenerateRequest.from_dict({"tier": "turbo"})
-
-    def test_published_tolerances_are_sane(self):
-        assert 0.0 < FAST_SCPR_TOLERANCE <= 0.5
-        assert 0.0 < FAST_AREA_TOLERANCE <= 0.5
 
     def test_session_rejects_unknown_tier(self, session):
         with pytest.raises(ValueError, match="unknown tier"):
@@ -93,8 +74,8 @@ class TestTierContract:
         fast = GenerateRequest(count=2, nodes=44, tier="fast").to_dict()
         default = GenerateRequest(count=2, nodes=44).to_dict()
         assert request_key(config, exact) != request_key(config, fast)
-        # tier=None resolves through the config, so it is its own key
-        # too: the serve layer never aliases across tier spellings.
+        # tier=None is its own key too: the serve layer keys the
+        # request as sent.
         assert request_key(config, default) != request_key(config, exact)
         # workers stays a wall-clock knob, not identity.
         threaded = dict(fast, workers=4)
@@ -135,16 +116,25 @@ class TestExactSampler:
 
 class TestExactTierRequests:
     def test_explicit_exact_matches_default(self, session):
+        # Phase 3 has one search: with it on, an exact and a fast
+        # request both return the default request's graphs byte for
+        # byte.  The search rewrites both circuits here, so the check is
+        # not vacuous.
         base = GenerateRequest(count=2, nodes=44, optimize=True, seed=5)
         default = session.generate(base)
-        explicit = session.generate(dataclasses.replace(base, tier="exact"))
-        assert len(default.graphs) == len(explicit.graphs) == 2
-        for a, b in zip(default.graphs, explicit.graphs):
-            assert a.to_dict() == b.to_dict()
-        # The tier only selects the Phase-3 search: without Phase 3 a
-        # fast request returns the exact request's graphs, through the
-        # batch path and through iter_generate's chunked presampling
-        # (chunks of 4 x workers items, so 10 items take two chunks).
+        assert all(
+            record.g_opt.to_dict() != record.g_val.to_dict()
+            for record in default.records
+        )
+        want = [graph.to_dict() for graph in default.graphs]
+        assert len(want) == 2
+        for tier in ("exact", "fast"):
+            named = session.generate(dataclasses.replace(base, tier=tier))
+            assert [graph.to_dict() for graph in named.graphs] == want
+        # Without Phase 3 a fast request returns the exact request's
+        # graphs, through the batch path and through iter_generate's
+        # chunked presampling (chunks of 4 x workers items, so 10 items
+        # take two chunks).
         unoptimized = GenerateRequest(
             count=10, nodes=(36, 52), optimize=False, seed=3, workers=2
         )
@@ -161,60 +151,9 @@ class TestExactTierRequests:
         ] == exact
 
 
-#: Drift-verified gate compositions.  Each was measured deterministic at
-#: the recorded tolerance headroom; the last is the family
-#: ``BENCH_smoke.json`` pins ``speedup_vs_exact`` on.
-GATE_FAMILIES = [
-    GenerateRequest(count=8, nodes=(36, 52), optimize=True, seed=5),
-    GenerateRequest(count=8, nodes=44, optimize=True, seed=0),
-    GenerateRequest(count=6, nodes=(40, 60), optimize=True, seed=11),
-    GenerateRequest(count=8, nodes=(40, 58), optimize=True, seed=7),
-    GenerateRequest(count=8, nodes=(42, 58), optimize=True, seed=4),
-    GenerateRequest(count=8, nodes=(68, 84), optimize=True, seed=7),
-]
-
-
-class TestDriftGate:
-    def test_fast_tier_drift_within_tolerance(self, session):
-        report = measure_drift(session, GATE_FAMILIES, clock_period=2.0)
-        assert len(report.families) == len(GATE_FAMILIES)
-        assert report.scpr_tolerance == FAST_SCPR_TOLERANCE
-        assert report.area_tolerance == FAST_AREA_TOLERANCE
-        assert report.within_tolerance(), "\n".join(report.violations())
-
-    def test_report_round_trips_to_dict(self):
-        from repro.bench.drift import DriftReport, FamilyDrift
-
-        report = DriftReport(families=[FamilyDrift(
-            name="nodes44_seed0", count=8,
-            exact_scpr=0.5, fast_scpr=0.6,
-            exact_area=100.0, fast_area=140.0,
-        )])
-        data = report.to_dict()
-        assert data["families"][0]["scpr_drift"] == pytest.approx(0.2)
-        assert data["families"][0]["area_drift"] == pytest.approx(0.4)
-        assert not data["within_tolerance"]
-        assert any("area drift" in v for v in report.violations())
-
-    def test_zero_exact_baseline_is_safe(self):
-        from repro.bench.drift import FamilyDrift
-
-        family = FamilyDrift(
-            name="nodes36_seed0", count=1,
-            exact_scpr=0.0, fast_scpr=0.0,
-            exact_area=0.0, fast_area=0.0,
-        )
-        assert family.scpr_drift == 0.0
-        assert family.area_drift == 0.0
-
-
 def test_bench_suite_exposes_throughput_entries():
     from repro.bench.suites import build_suite
 
     config = resolve_preset("smoke", seed=0)
     names = [benchmark.name for benchmark in build_suite(config)]
-    for name in (
-        "e2e.generate_batch",
-        "e2e.generate_fast",
-    ):
-        assert name in names, f"missing bench entry {name}"
+    assert "e2e.generate_batch" in names
