@@ -9,7 +9,9 @@ deliberately spans the whole stack:
 * ``simulate.*``       -- netlist simulation backends, largest corpus design
   (``bitparallel_steady`` replays the compiled plan
   :data:`STEADY_SIM_ROUNDS` times per run)
-* ``cone.batch_eval``  -- batched packed-stimulus cone evaluation
+* ``cone.batch_eval``  -- cone signatures of 24 swap candidates of one
+  ``alu`` register against one shared packed stimulus (each candidate's
+  cone is elaborated and compiled afresh)
 * ``incr.apply_edit``  -- delta re-elaboration of a swap chain
 * ``incr.analyze_delta`` -- delta-mode redundancy analysis (the replay
   the incremental reward runs per candidate) over two swap chains, on
@@ -227,7 +229,8 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
         rng = np.random.default_rng(seed)
         candidates = _swap_candidates(graph, register, rng, 24)
         # The evaluator (and therefore its packed stimulus words) lives
-        # in setup: the measured path is batched evaluation only.
+        # in setup: the measured path is each candidate's cone
+        # extraction, elaboration, compile and packed simulation.
         evaluator = ConeBatchEvaluator(num_cycles=SIM_CYCLES, seed=seed)
         return evaluator, register, candidates
 

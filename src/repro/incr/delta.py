@@ -457,13 +457,6 @@ class DeltaNetlist:
     def num_gates(self) -> int:
         return sum(len(a.gates) for a in self.artifacts.values())
 
-    @property
-    def live_nets(self) -> int:
-        """Nets actually referenced (vs ``num_nets``, which only grows)."""
-        return 2 + sum(
-            len(a.bits) + len(a.gates) for a in self.artifacts.values()
-        )
-
     def gate_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for art in self.artifacts.values():

@@ -181,6 +181,11 @@ class IncrementalReward:
         carried, self._candidate = self._candidate, None
         if carried is not None and graph.structural_delta(carried.graph) == []:
             self._base = carried.rebased(graph)
+            sanitizer = current_sanitizer()
+            if sanitizer is not None:
+                # S003: every later oracle call patches from this base;
+                # audit it against a fresh elaboration of the new state.
+                sanitizer.check_delta(self._base)
         else:
             self._base = None
         if exact_pcs is None and self.delta:

@@ -3,9 +3,8 @@
 The search hot loop of :mod:`repro.mcts` runs entirely on memoized /
 incrementally-patched structures: :class:`~repro.ir.GraphView` wiring
 memos, the :class:`~repro.mcts.actions.SwapIndex` cone-edge cache,
-:class:`~repro.incr.DeltaNetlist` patch lineages,
-:class:`~repro.synth.simulate.PatchableSimulator` plans, the
-incremental reward's area memo and the analyzer's dirty-cone fixpoint.
+:class:`~repro.incr.DeltaNetlist` patch lineages, the incremental
+reward's area memo and the analyzer's dirty-cone fixpoint.
 Each is differentially fuzz-tested offline, but nothing could check the
 invariants *in situ* when a real run misbehaves.
 
@@ -23,7 +22,7 @@ offending state -- on any divergence.  Activation is opt-in and scoped:
   ``repro generate --sanitize`` audit one search / one request.
 
 Internally the active :class:`Sanitizer` rides a :class:`contextvars`
-context variable, so concurrent ``Session.generate`` workers sanitize
+context variable, so searches on different threads sanitize
 independently and the default-off cost at each checkpoint is one
 context-variable read.
 """
@@ -43,8 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - import-cycle-free annotations only
 
 #: Sanitizer rules: listed in the catalog for docs/selection; their
 #: checks run from instrumented checkpoints, not from lint_graph().
-#: S004 and S008 are retired (their structures are gone) and are never
-#: reused; the other ids keep their numbers.
+#: S004, S005 and S008 are retired (their structures are gone) and are
+#: never reused; the other ids keep their numbers.
 SANITIZER_RULES = tuple(register(Rule(
     id=rule_id, title=title, severity=ERROR, scope=SANITIZER_SCOPE,
     description=description,
@@ -58,9 +57,6 @@ SANITIZER_RULES = tuple(register(Rule(
     ("S003", "delta-netlist-coherence",
      "DeltaNetlist.materialize() must match a fresh elaborate() of the "
      "same graph (ports, gate counts, observed function)."),
-    ("S005", "patchable-simulator-coherence",
-     "PatchableSimulator's re-linked plan must produce the packed "
-     "output words of a fresh compile."),
     ("S006", "area-memo-coherence",
      "IncrementalReward's (node, operand-widths) area memo must match a "
      "fresh single-node lowering of the candidate wiring."),
@@ -182,8 +178,8 @@ class Sanitizer:
     ``checks`` restricts the audited rule ids (default: all of
     :data:`SANITIZER_IDS`; an unknown id raises ``ValueError``);
     ``num_cycles``/``seed`` parameterize the packed functional
-    comparisons of S003/S005.  ``self.checks_run`` counts
-    performed audits, ``self.violations`` the failures raised.
+    comparison of S003.  ``self.checks_run`` counts performed audits,
+    ``self.violations`` the failures raised.
     """
 
     def __init__(
@@ -398,41 +394,6 @@ class Sanitizer:
                 "S003",
                 "materialized delta computes a different function than a "
                 f"fresh elaboration (outputs {bad[:8]} differ)", **prov,
-            )
-
-    # -- S005 ------------------------------------------------------------
-    def check_simulator(
-        self,
-        delta: "DeltaNetlist",
-        words_by_name: dict[str, int],
-        num_cycles: int,
-        observed: dict[str, int],
-    ) -> None:
-        """S005: the patched plan's packed outputs equal a fresh
-        compile over the materialized netlist."""
-        if not self.wants("S005"):
-            return
-        self.checks_run += 1
-        from ..synth.simulate import BitParallelSimulator
-
-        fresh = BitParallelSimulator(delta.materialize(check=False))
-        inputs = {
-            net: words_by_name.get(name, 0)
-            for name, net in fresh.netlist.primary_inputs
-        }
-        reference = fresh.run_packed(inputs, num_cycles)
-        if observed != reference:
-            bad = sorted(
-                name for name in observed
-                if observed[name] != reference.get(name)
-            )
-            prov = _graph_provenance(delta.graph)
-            prov["patched_nodes"] = sorted(delta.patched)
-            self._fail(
-                "S005",
-                "patched simulator plan computes different packed output "
-                f"words than a fresh compile (outputs {bad[:8]} differ)",
-                **prov,
             )
 
     # -- S006 ------------------------------------------------------------

@@ -90,23 +90,6 @@ def cone_subcircuit(graph: CircuitGraph, cone: Cone) -> CircuitGraph:
     return sub
 
 
-def canonical_cone(graph: CircuitGraph, register: int) -> Cone:
-    """Driving cone with deterministically sorted interior and boundary.
-
-    Two candidate states with the same cone *membership* then produce
-    structurally identical sub-circuits from :func:`cone_subcircuit`
-    (same node ids, names and port order) -- the property the
-    incremental cone evaluator's delta patching keys on; the BFS order
-    of :func:`driving_cone` depends on the wiring being traversed.
-    """
-    cone = driving_cone(graph, register)
-    return Cone(
-        register=cone.register,
-        interior=sorted(cone.interior),
-        boundary=sorted(cone.boundary),
-    )
-
-
 def all_cones(graph: CircuitGraph) -> list[Cone]:
     """Driving cones of every register, largest first."""
     cones = [driving_cone(graph, r) for r in graph.registers()]

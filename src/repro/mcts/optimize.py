@@ -85,10 +85,9 @@ class MCTSConfig:
     ``sanitize`` audits the run with :mod:`repro.lint.sanitize`: every
     incrementally maintained structure the search touches (GraphView
     wiring memos, the SwapIndex edge cache, delta netlists, the area
-    memo, patched simulator plans, dirty-cone analysis) is
-    cross-checked against a from-scratch recomputation at its
-    checkpoints, raising :class:`~repro.lint.InvariantViolation` on
-    divergence.  Pure auditing: a sanitized run's result is
+    memo, dirty-cone analysis) is cross-checked against a from-scratch
+    recomputation at its checkpoints, raising
+    :class:`~repro.lint.InvariantViolation` on divergence.  Pure auditing: a sanitized run's result is
     bit-identical to an unsanitized one.  The ``REPRO_SANITIZE``
     environment variable turns this on globally without touching
     configs.
@@ -370,7 +369,7 @@ def _search_registers(
         cones = [c for c in cones if c.register in wanted]
     # The sanitizing context is a no-op for sanitizer=None; inside it the
     # incremental machinery's checkpoints (SwapIndex, delta netlists,
-    # patched simulators, dirty-cone analysis) audit themselves.
+    # dirty-cone analysis) audit themselves.
     with span("mcts.optimize", cones=len(cones),
               incremental=incremental is not None), sanitizing(sanitizer):
         for cone in cones:

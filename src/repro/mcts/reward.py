@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ir import CircuitGraph, NUM_TYPES, NodeType
-from ..lint.sanitize import current_sanitizer
 from ..synth import synthesize
-from ..synth.simulate import PatchableSimulator, packed_stimulus_word
-from .cones import Cone, canonical_cone, cone_subcircuit
+from ..synth.elaborate import elaborate
+from ..synth.simulate import BitParallelSimulator, packed_stimulus_word
+from .cones import Cone, cone_subcircuit, driving_cone
 
 
 class SynthesisReward:
@@ -30,8 +30,9 @@ class SynthesisReward:
     def __init__(self, clock_period: float = 2.0):
         self.clock_period = clock_period
         self.calls = 0
-        # A multi-worker Session.generate shares one reward across worker
-        # threads; the lock keeps the call counter exact.
+        # A caller may pass one instance as the ``reward_fn`` of
+        # searches on several threads; the lock keeps the call counter
+        # exact.
         self._lock = threading.Lock()
 
     def __call__(self, graph: CircuitGraph, cone: Cone | None = None) -> float:
@@ -65,29 +66,19 @@ class ConeSignature:
 
 
 class ConeBatchEvaluator:
-    """Drive many candidate cone states with one shared packed stimulus.
+    """Simulate register cones against one shared packed stimulus.
 
-    The MCTS search produces batches of candidate netlists that differ
-    only inside one register's driving cone.  This evaluator lowers
-    each candidate's cone sub-circuit and runs the bit-parallel simulator
-    (:class:`repro.synth.simulate.BitParallelSimulator`) against stimulus
-    words that are packed *once per boundary signal* and reused across
-    every candidate -- boundary nodes keep their original-graph ids in
-    the sub-circuit port names, so the same net sees the same word no
-    matter which candidate is being evaluated.
+    Each call lowers ``register``'s driving-cone sub-circuit
+    (:func:`~repro.mcts.cones.cone_subcircuit`) with a fresh
+    ``elaborate`` and runs it on the bit-parallel simulator
+    (:class:`repro.synth.simulate.BitParallelSimulator`).  Stimulus
+    words are packed *once per boundary signal* and reused across every
+    call: boundary nodes keep their original-graph ids in the
+    sub-circuit port names, so the same net sees the same word in every
+    candidate state and every cone of one run.
 
-    Lowering is incremental: per register, the previous candidate's
-    :class:`repro.incr.DeltaNetlist` is kept and the next candidate's
-    sub-circuit is delta-patched onto it (cones are canonicalized so
-    equal membership means an identical node layout); a full tracked
-    elaboration only happens when the cone membership itself changed.
-    Simulation reuses a per-register
-    :class:`~repro.synth.simulate.PatchableSimulator`, so a candidate's
-    compiled plan is re-linked from the delta's cached opcode rows
-    instead of recompiled from a materialized netlist.
-
-    Signatures answer "do these candidates compute the same function":
-    the per-acceptance cone-function diagnostic, the optional
+    Signatures answer "do these states compute the same function": the
+    per-acceptance cone-function diagnostic, the optional
     ``require_functional_equivalence`` hard gate of the search, and the
     ``cone.batch_eval`` microbenchmark kernel in :mod:`repro.bench`.
     """
@@ -98,13 +89,6 @@ class ConeBatchEvaluator:
         self.num_cycles = num_cycles
         self.seed = seed
         self._words: dict[tuple[str, int], int] = {}
-        #: register -> last candidate's cone DeltaNetlist (patch base).
-        self._cone_deltas: dict[int, object] = {}
-        #: register -> the cone's PatchableSimulator (plan re-linked per
-        #: candidate; never recompiled from scratch).
-        self._cone_sims: dict[int, PatchableSimulator] = {}
-        self.full_elaborations = 0
-        self.patched_elaborations = 0
 
     # -- shared packed stimulus -----------------------------------------
     def _word_for(self, marker: str, bit: int) -> int:
@@ -118,61 +102,16 @@ class ConeBatchEvaluator:
         return word
 
     # -- evaluation ------------------------------------------------------
-    def _cone_simulator(
-        self, graph: CircuitGraph, register: int
-    ) -> PatchableSimulator:
-        """Compiled simulator of ``register``'s cone, plan-patched onto
-        the previous candidate's delta whenever membership allows."""
-        from ..incr import DeltaNetlist
-
-        sub = cone_subcircuit(graph, canonical_cone(graph, register))
-        previous = self._cone_deltas.get(register)
-        if previous is None:
-            delta = DeltaNetlist.from_graph(sub, check=False)
-            self.full_elaborations += 1
-        else:
-            delta = previous.apply_edit(sub)
-            if delta.parent is None:
-                # Membership changed: apply_edit already fell back to a
-                # full tracked elaboration -- keep it, don't redo it.
-                self.full_elaborations += 1
-            elif delta.num_nets > 4 * delta.live_nets:
-                # Net-id growth along a long patch chain: rebase.
-                delta = DeltaNetlist.from_graph(sub, check=False)
-                self.full_elaborations += 1
-            else:
-                self.patched_elaborations += 1
-        self._cone_deltas[register] = delta
-        sanitizer = current_sanitizer()
-        if sanitizer is not None:
-            # S003: audit the cone's patch lineage against a fresh
-            # elaboration of the same sub-circuit.
-            sanitizer.check_delta(delta)
-        simulator = self._cone_sims.get(register)
-        if simulator is None:
-            simulator = self._cone_sims[register] = PatchableSimulator()
-        return simulator.patch(delta)
-
     def signature(self, graph: CircuitGraph, register: int) -> ConeSignature:
         """Simulate ``register``'s driving cone in ``graph``."""
-        simulator = self._cone_simulator(graph, register)
-        sanitizer = current_sanitizer()
+        sub = cone_subcircuit(graph, driving_cone(graph, register))
+        simulator = BitParallelSimulator(elaborate(sub, check=False))
         inputs = {}
-        words_by_name: dict[str, int] = {}
-        for name, net in simulator.primary_inputs:
+        for name, net in simulator.netlist.primary_inputs:
             marker, rest = name.rsplit("_", 1)
             bit = int(rest[rest.index("[") + 1:-1])
-            word = self._word_for(marker, bit)
-            inputs[net] = word
-            if sanitizer is not None:
-                words_by_name[name] = word
+            inputs[net] = self._word_for(marker, bit)
         out_words = simulator.run_packed(inputs, self.num_cycles)
-        if sanitizer is not None:
-            # S005: the re-linked plan's words vs a fresh compile.
-            sanitizer.check_simulator(
-                self._cone_deltas[register], words_by_name,
-                self.num_cycles, out_words,
-            )
         by_bit = sorted(
             (int(name[name.index("[") + 1:-1]), word)
             for name, word in out_words.items()

@@ -200,139 +200,7 @@ def _tarjan_sccs(deps: list[list[int]]) -> list[list[int]]:
     return sccs
 
 
-class _PackedRunner:
-    """Word-level execution over a compiled plan.
-
-    Subclasses populate ``_plan`` (the ``("direct", ops)`` /
-    ``("loop", ops, dff_ops)`` block list), ``_num_nets``, ``_const1``,
-    ``_pi_nets``, ``_dff_nets``, ``_dff_pairs`` and ``_outputs`` (the
-    ``(name, net)`` primary-output pairs); the block evaluator is shared
-    verbatim, so every compiler -- per-netlist or patch-based -- drives
-    stimuli through identical word operations.
-    """
-
-    _plan: list[tuple]
-    _num_nets: int
-    _const1: int
-    _pi_nets: list[int]
-    _dff_nets: list[int]
-    _dff_pairs: list[tuple[int, int]]
-    _outputs: list[tuple[str, int]]
-
-    @property
-    def primary_inputs(self) -> list[tuple[str, int]]:
-        return list(self._pi_list)
-
-    @property
-    def primary_outputs(self) -> list[tuple[str, int]]:
-        return list(self._outputs)
-
-    # ------------------------------------------------------------------
-    def run(self, stimulus: list[dict[int, bool]]) -> list[dict[str, bool]]:
-        """Drive ``stimulus`` and return per-cycle output dicts."""
-        results: list[dict[str, bool]] = []
-        outputs = self._outputs
-        pi_nets = self._pi_nets
-        state = {net: 0 for net in self._dff_nets}
-        total = len(stimulus)
-        for start in range(0, total, WORD_BITS):
-            block = stimulus[start:start + WORD_BITS]
-            packed = {}
-            for net in pi_nets:
-                word = 0
-                for t, cycle_inputs in enumerate(block):
-                    if cycle_inputs.get(net):
-                        word |= 1 << t
-                packed[net] = word
-            words = self._run_block(packed, len(block), state)
-            for t in range(len(block)):
-                results.append(
-                    {name: bool((words[net] >> t) & 1) for name, net in outputs}
-                )
-            for out, d in self._dff_pairs:
-                state[out] = (words[d] >> (len(block) - 1)) & 1
-        return results
-
-    def run_packed(
-        self,
-        inputs: dict[int, int],
-        num_cycles: int,
-    ) -> dict[str, int]:
-        """Word-level entry point: packed input words in, packed output
-        words out (bit ``t`` = cycle ``t``).  Registers start at 0."""
-        state = {net: 0 for net in self._dff_nets}
-        out_words = {name: 0 for name, _ in self._outputs}
-        for start in range(0, num_cycles, WORD_BITS):
-            length = min(WORD_BITS, num_cycles - start)
-            mask = (1 << length) - 1
-            packed = {
-                net: (inputs.get(net, 0) >> start) & mask
-                for net in self._pi_nets
-            }
-            words = self._run_block(packed, length, state)
-            for name, net in self._outputs:
-                out_words[name] |= (words[net] & mask) << start
-            for out, d in self._dff_pairs:
-                state[out] = (words[d] >> (length - 1)) & 1
-        return out_words
-
-    # ------------------------------------------------------------------
-    def _run_block(
-        self,
-        packed_inputs: dict[int, int],
-        length: int,
-        state: dict[int, int],
-    ) -> list[int]:
-        mask = (1 << length) - 1
-        words = [0] * self._num_nets
-        if self._const1 >= 0:
-            words[self._const1] = mask
-        for net, word in packed_inputs.items():
-            words[net] = word & mask
-
-        for step in self._plan:
-            if step[0] == "direct":
-                self._eval_ops(step[1], words, mask, state)
-            else:
-                _, loop_ops, dff_ops = step
-                previous = None
-                # Each pass settles at least one more cycle bit, so the
-                # fixpoint arrives within length + 1 passes; the extra
-                # pass detects stability.
-                for _ in range(length + 2):
-                    self._eval_ops(loop_ops, words, mask, state)
-                    current = tuple(words[out] for _, out, *_ in dff_ops)
-                    if current == previous:
-                        break
-                    previous = current
-                else:  # pragma: no cover - mathematically unreachable
-                    raise RuntimeError("feedback fixpoint did not converge")
-        return words
-
-    @staticmethod
-    def _eval_ops(
-        ops: list[tuple],
-        words: list[int],
-        mask: int,
-        state: dict[int, int],
-    ) -> None:
-        for code, out, a, b, c in ops:
-            if code == _OP_AND:
-                words[out] = words[a] & words[b]
-            elif code == _OP_XOR:
-                words[out] = words[a] ^ words[b]
-            elif code == _OP_OR:
-                words[out] = words[a] | words[b]
-            elif code == _OP_NOT:
-                words[out] = words[a] ^ mask
-            elif code == _OP_MUX:
-                sel = words[a]
-                words[out] = (sel & words[b]) | ((sel ^ mask) & words[c])
-            else:  # DFF: shift the D word up one cycle, insert the state bit
-                words[out] = ((words[a] << 1) | state[out]) & mask
-
-
-class BitParallelSimulator(_PackedRunner):
+class BitParallelSimulator:
     """Compiled word-parallel simulator for one netlist.
 
     Compiling (SCC analysis + opcode program) is a single O(gates) pass;
@@ -461,7 +329,6 @@ class BitParallelSimulator(_PackedRunner):
 
         self._num_nets = netlist.num_nets
         self._const1 = netlist.const1
-        self._pi_list = list(netlist.primary_inputs)
         self._pi_nets = [net for _, net in netlist.primary_inputs]
         self._outputs = list(netlist.primary_outputs)
         self._dff_nets = [g.output for g in gates if g.kind == "DFF"]
@@ -469,216 +336,118 @@ class BitParallelSimulator(_PackedRunner):
             (g.output, g.inputs[0]) for g in gates if g.kind == "DFF"
         ]
 
+    # ------------------------------------------------------------------
+    def run(self, stimulus: list[dict[int, bool]]) -> list[dict[str, bool]]:
+        """Drive ``stimulus`` and return per-cycle output dicts."""
+        results: list[dict[str, bool]] = []
+        outputs = self._outputs
+        pi_nets = self._pi_nets
+        state = {net: 0 for net in self._dff_nets}
+        total = len(stimulus)
+        for start in range(0, total, WORD_BITS):
+            block = stimulus[start:start + WORD_BITS]
+            packed = {}
+            for net in pi_nets:
+                word = 0
+                for t, cycle_inputs in enumerate(block):
+                    if cycle_inputs.get(net):
+                        word |= 1 << t
+                packed[net] = word
+            words = self._run_block(packed, len(block), state)
+            for t in range(len(block)):
+                results.append(
+                    {name: bool((words[net] >> t) & 1) for name, net in outputs}
+                )
+            for out, d in self._dff_pairs:
+                state[out] = (words[d] >> (len(block) - 1)) & 1
+        return results
 
-class PatchableSimulator(_PackedRunner):
-    """Packed simulator whose compiled plan is *patched* per candidate.
-
-    :class:`BitParallelSimulator` compiles at gate granularity: every
-    candidate netlist pays a fresh dependency build, Kahn peel and
-    Tarjan pass over hundreds of gates (plus the ``materialize()`` that
-    assembles the netlist in the first place).  This class compiles from
-    a :class:`repro.incr.delta.DeltaNetlist` instead: per-node opcode
-    rows are lowered once per artifact and cached on it (artifacts are
-    immutable and structurally shared along a delta lineage, so only the
-    dirty cone's rows are ever re-lowered), and ``patch(delta)`` only
-    re-links the node-level plan -- topo order and feedback SCC blocks
-    over tens of *nodes*, not hundreds of gates -- reusing the net
-    anchors the delta preserved.  No intermediate ``Netlist`` is built.
-
-    The node-level plan is coarser than the gate-level one (a feedback
-    SCC contains whole nodes), but every block is still evaluated in a
-    topologically valid order and loop blocks iterate word-wise to the
-    same unique fixpoint, so outputs are bit-exact with a freshly
-    compiled :class:`BitParallelSimulator` of ``delta.materialize()``
-    (gated by the differential fuzz in ``tests/test_simulate_equivalence``).
-    """
-
-    def __init__(self, delta=None):
-        self._schema_nodes: list | None = None
-        if delta is not None:
-            self.patch(delta)
+    def run_packed(
+        self,
+        inputs: dict[int, int],
+        num_cycles: int,
+    ) -> dict[str, int]:
+        """Word-level entry point: packed input words in, packed output
+        words out (bit ``t`` = cycle ``t``).  Registers start at 0."""
+        state = {net: 0 for net in self._dff_nets}
+        out_words = {name: 0 for name, _ in self._outputs}
+        for start in range(0, num_cycles, WORD_BITS):
+            length = min(WORD_BITS, num_cycles - start)
+            mask = (1 << length) - 1
+            packed = {
+                net: (inputs.get(net, 0) >> start) & mask
+                for net in self._pi_nets
+            }
+            words = self._run_block(packed, length, state)
+            for name, net in self._outputs:
+                out_words[name] |= (words[net] & mask) << start
+            for out, d in self._dff_pairs:
+                state[out] = (words[d] >> (length - 1)) & 1
+        return out_words
 
     # ------------------------------------------------------------------
-    def _ensure_schema(self, graph) -> None:
-        """Node classification; cached while the node storage is shared
-        (delta lineages and graph views reuse one node list)."""
-        nodes = graph._nodes
-        if self._schema_nodes is nodes:
-            return
-        from ..ir import NodeType, is_sequential
+    def _run_block(
+        self,
+        packed_inputs: dict[int, int],
+        length: int,
+        state: dict[int, int],
+    ) -> list[int]:
+        mask = (1 << length) - 1
+        words = [0] * self._num_nets
+        if self._const1 >= 0:
+            words[self._const1] = mask
+        for net, word in packed_inputs.items():
+            words[net] = word & mask
 
-        ins: list[int] = []
-        outs: list[int] = []
-        regs: list[int] = []
-        eval_nodes: list[int] = []
-        reg_flags: list[bool] = []
-        for node in nodes:
-            t = node.type
-            if t is NodeType.IN:
-                ins.append(node.id)
-            elif t is NodeType.OUT:
-                outs.append(node.id)
-            elif t is NodeType.CONST:
-                pass
+        for step in self._plan:
+            if step[0] == "direct":
+                self._eval_ops(step[1], words, mask, state)
             else:
-                sequential = is_sequential(t)
-                if sequential:
-                    regs.append(node.id)
-                eval_nodes.append(node.id)
-                reg_flags.append(sequential)
-        self._ins = ins
-        self._outs = outs
-        self._regs = regs
-        self._eval_nodes = eval_nodes
-        self._reg_flags = reg_flags
-        self._local_index = {v: k for k, v in enumerate(eval_nodes)}
-        self._schema_nodes = nodes
+                _, loop_ops, dff_ops = step
+                previous = None
+                # Each pass settles at least one more cycle bit, so the
+                # fixpoint arrives within length + 1 passes; the extra
+                # pass detects stability.
+                for _ in range(length + 2):
+                    self._eval_ops(loop_ops, words, mask, state)
+                    current = tuple(words[out] for _, out, *_ in dff_ops)
+                    if current == previous:
+                        break
+                    previous = current
+                else:  # pragma: no cover - mathematically unreachable
+                    raise RuntimeError("feedback fixpoint did not converge")
+        return words
 
     @staticmethod
-    def _artifact_ops(artifact) -> list[tuple]:
-        """The artifact's gates as opcode rows (cached on the artifact:
-        shared artifacts along a lineage are lowered exactly once)."""
-        ops = artifact.__dict__.get("_packed_ops")
-        if ops is None:
-            ops = []
-            for gate in artifact.gates:
-                ins = gate.inputs
-                arity = len(ins)
-                ops.append((
-                    _OP_CODE[gate.kind],
-                    gate.output,
-                    ins[0],
-                    ins[1] if arity > 1 else 0,
-                    ins[2] if arity > 2 else 0,
-                ))
-            object.__setattr__(artifact, "_packed_ops", ops)
-        return ops
-
-    # ------------------------------------------------------------------
-    def patch(self, delta) -> "PatchableSimulator":
-        """Re-link the plan for ``delta`` and return ``self``.
-
-        O(nodes + node edges) plus one cached-op lookup per node; only
-        artifacts the delta actually re-lowered produce new opcode rows.
-        """
-        graph = delta.graph
-        artifacts = delta.artifacts
-        self._ensure_schema(graph)
-        eval_nodes = self._eval_nodes
-        local = self._local_index
-        reg_flags = self._reg_flags
-        filled = graph.filled_rows()
-        artifact_ops = self._artifact_ops
-
-        n = len(eval_nodes)
-        deps: list[list[int]] = [
-            [local[p] for p in filled[v] if p in local] for v in eval_nodes
-        ]
-        pending = [len(d) for d in deps]
-        consumers: list[list[int]] = [[] for _ in range(n)]
-        for k, dep in enumerate(deps):
-            for j in dep:
-                consumers[j].append(k)
-        placed = [False] * n
-        frontier = deque(k for k in range(n) if pending[k] == 0)
-        plan: list[tuple] = []
-        direct: list[tuple] = []
-        while frontier:
-            k = frontier.popleft()
-            placed[k] = True
-            direct += artifact_ops(artifacts[eval_nodes[k]])
-            for consumer in consumers[k]:
-                pending[consumer] -= 1
-                if pending[consumer] == 0:
-                    frontier.append(consumer)
-
-        leftover = [k for k in range(n) if not placed[k]]
-        if leftover:
-            local_index = {k: x for x, k in enumerate(leftover)}
-            local_deps = [
-                [local_index[j] for j in deps[k] if not placed[j]]
-                for k in leftover
-            ]
-            for local_component in _tarjan_sccs(local_deps):
-                component = [leftover[x] for x in local_component]
-                if len(component) == 1:
-                    k = component[0]
-                    if k not in deps[k]:
-                        # Downstream of a feedback SCC, not in one.
-                        direct += artifact_ops(artifacts[eval_nodes[k]])
-                        continue
-                    if not reg_flags[k]:
-                        raise ValueError("combinational loop in netlist")
-                members = set(component)
-                comb = [k for k in component if not reg_flags[k]]
-                dffs = [k for k in component if reg_flags[k]]
-                if not dffs:
-                    raise ValueError("combinational loop in netlist")
-                comb_pending = {
-                    k: sum(
-                        1 for j in deps[k]
-                        if j in members and not reg_flags[j]
-                    )
-                    for k in comb
-                }
-                comb_consumers: dict[int, list[int]] = {}
-                for k in comb:
-                    for j in deps[k]:
-                        if j in members and not reg_flags[j]:
-                            comb_consumers.setdefault(j, []).append(k)
-                comb_frontier = deque(
-                    k for k in comb if comb_pending[k] == 0
-                )
-                dff_ops: list[tuple] = []
-                for k in dffs:
-                    dff_ops += artifact_ops(artifacts[eval_nodes[k]])
-                loop_ops = list(dff_ops)
-                ordered = 0
-                while comb_frontier:
-                    k = comb_frontier.popleft()
-                    loop_ops += artifact_ops(artifacts[eval_nodes[k]])
-                    ordered += 1
-                    for consumer in comb_consumers.get(k, ()):
-                        comb_pending[consumer] -= 1
-                        if comb_pending[consumer] == 0:
-                            comb_frontier.append(consumer)
-                if ordered != len(comb):
-                    raise ValueError("combinational loop in netlist")
-                if direct:
-                    plan.append(("direct", direct))
-                    direct = []
-                plan.append(("loop", loop_ops, dff_ops))
-        if direct:
-            plan.append(("direct", direct))
-
-        self._plan = plan
-        self._num_nets = delta.num_nets
-        self._const1 = delta.const1
-        pi_list: list[tuple[str, int]] = []
-        for v in self._ins:
-            pi_list.extend(artifacts[v].pis)
-        outputs: list[tuple[str, int]] = []
-        for v in self._outs:
-            outputs.extend(artifacts[v].pos)
-        self._pi_list = pi_list
-        self._pi_nets = [net for _, net in pi_list]
-        self._outputs = outputs
-        dff_pairs: list[tuple[int, int]] = []
-        for r in self._regs:
-            for gate in artifacts[r].gates:
-                dff_pairs.append((gate.output, gate.inputs[0]))
-        self._dff_pairs = dff_pairs
-        self._dff_nets = [out for out, _ in dff_pairs]
-        return self
+    def _eval_ops(
+        ops: list[tuple],
+        words: list[int],
+        mask: int,
+        state: dict[int, int],
+    ) -> None:
+        for code, out, a, b, c in ops:
+            if code == _OP_AND:
+                words[out] = words[a] & words[b]
+            elif code == _OP_XOR:
+                words[out] = words[a] ^ words[b]
+            elif code == _OP_OR:
+                words[out] = words[a] | words[b]
+            elif code == _OP_NOT:
+                words[out] = words[a] ^ mask
+            elif code == _OP_MUX:
+                sel = words[a]
+                words[out] = (sel & words[b]) | ((sel ^ mask) & words[c])
+            else:  # DFF: shift the D word up one cycle, insert the state bit
+                words[out] = ((words[a] << 1) | state[out]) & mask
 
 
 def packed_stimulus_word(seed: int, key: str, num_cycles: int, salt: int = 0) -> int:
     """Deterministic random packed input word (bit ``t`` = cycle ``t``).
 
     One recipe shared by every consumer that drives many netlists with
-    one stimulus (batched cone evaluation, the incremental candidate
-    queue): the word depends only on ``(seed, key, salt)``, never on
-    which candidate is being simulated.
+    one stimulus (batched cone evaluation, the sanitizer's functional
+    comparisons): the word depends only on ``(seed, key, salt)``, never
+    on which candidate is being simulated.
     """
     import zlib
 

@@ -310,8 +310,9 @@ def population_differential(session, reference, requests):
 
     Asserts equal graphs and equal SCPR across the three sides for the
     MCTS arm (through ``Session.generate``) and for the random arm
-    (``random_search_registers`` on each unoptimized ``g_val``).  A sanitized run raises on any S001-S007
-    violation, so completing is the zero-violation check.  Returns the
+    (``random_search_registers`` on each unoptimized ``g_val``).  A
+    sanitized run raises on any sanitizer violation, so completing is
+    the zero-violation check.  Returns the
     number of generated circuits compared.
     """
     import dataclasses

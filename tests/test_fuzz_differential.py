@@ -361,17 +361,20 @@ class TestGeneratedPopulationDifferential:
     @pytest.mark.fuzz_deep
     def test_deep_population(self, fuzz_rounds):
         """``fast``-preset model at the 12/4/4 search budget: 40
-        circuits of 48-384 nodes per round, half under each tier name."""
+        distinct circuits of 48-384 nodes per round, half under each
+        tier name (the tier selects nothing, so each request has its
+        own seed)."""
         session, reference = population_sessions(
             "fast", train_test_split(seed=2025)[0],
             num_simulations=12, max_depth=4, branching=4,
         )
         requests = [
             GenerateRequest(
-                count=20, nodes=(48, 384), seed=1000 + round_, tier=tier,
+                count=20, nodes=(48, 384), seed=1000 + 2 * round_ + k,
+                tier=tier,
             )
             for round_ in range(fuzz_rounds)
-            for tier in ("exact", "fast")
+            for k, tier in enumerate(("exact", "fast"))
         ]
         assert population_differential(session, reference, requests) == \
             40 * fuzz_rounds

@@ -563,30 +563,6 @@ class TestIncrementalSearch:
         # this test exercises nothing.
         assert seeds_with_rejections > 0
 
-    def test_cone_evaluator_patches_candidates(self):
-        from repro.mcts import ConeBatchEvaluator
-
-        graph = load_design("alu")
-        register = graph.registers()[0]
-        rng = np.random.default_rng(5)
-        from repro.mcts import driving_cone
-
-        cone = driving_cone(graph, register)
-        anchor = [cone.register, *cone.interior]
-        candidates = [graph, *swap_chain(graph, rng, 8, anchor=anchor)]
-        evaluator = ConeBatchEvaluator(num_cycles=64, seed=0)
-        signatures = evaluator.evaluate(candidates, register)
-        assert len(signatures) == len(candidates)
-        # After the first full elaboration, same-membership candidates
-        # ride the delta patch path.
-        assert evaluator.full_elaborations >= 1
-        assert evaluator.patched_elaborations > 0
-        # Patching must not change the computed signatures.
-        fresh = ConeBatchEvaluator(num_cycles=64, seed=0)
-        assert [s.words for s in signatures] == [
-            fresh.signature(c, register).words for c in candidates
-        ]
-
 
 # ---------------------------------------------------------------------------
 class TestIncrementalSpeed:

@@ -49,9 +49,10 @@ class TestFramework:
         ids = {rule.id for rule in rule_catalog()}
         assert {f"L00{k}" for k in range(1, 9)} <= ids
         assert {"N001", "N002", "N003"} <= ids
-        # S004 and S008 are retired; the remaining ids keep their numbers.
-        assert {"S001", "S002", "S003", "S005", "S006", "S007"} <= ids
-        assert not {"S004", "S008"} & ids
+        # S004, S005 and S008 are retired; the remaining ids keep their
+        # numbers.
+        assert {"S001", "S002", "S003", "S006", "S007", "S009"} <= ids
+        assert not {"S004", "S005", "S008"} & ids
 
     def test_severity_policy(self):
         # Structural invalidity is an error; an unused port is a
@@ -307,32 +308,6 @@ class TestSanitizerInjection:
         honest = base.apply_edit(view, [ids["s"]])
         Sanitizer().check_delta(honest)  # must not raise
 
-    def test_s005_tampered_output_words(self):
-        from repro.incr import DeltaNetlist
-        from repro.synth.simulate import (
-            BitParallelSimulator,
-            packed_stimulus_word,
-        )
-
-        g, _ = _clean_graph()
-        base = DeltaNetlist.from_graph(g, check=False)
-        netlist = base.materialize(check=False)
-        words = {
-            name: packed_stimulus_word(0, name, 32)
-            for name, _ in netlist.primary_inputs
-        }
-        observed = BitParallelSimulator(netlist).run_packed(
-            {net: words[name] for name, net in netlist.primary_inputs}, 32
-        )
-        sanitizer = Sanitizer()
-        sanitizer.check_simulator(base, words, 32, observed)  # honest: ok
-        tampered = dict(observed)
-        key = next(iter(tampered))
-        tampered[key] ^= 1
-        with pytest.raises(InvariantViolation) as exc:
-            sanitizer.check_simulator(base, words, 32, tampered)
-        assert exc.value.diagnostic.rule == "S005"
-
     def test_s006_corrupted_area_memo(self):
         from repro.incr import IncrementalReward
 
@@ -419,11 +394,13 @@ class TestSanitizerInjection:
         sanitizer.check_swap_index(g, {ids["r"]}, [], [])  # S002 disabled
         assert sanitizer.checks_run == 0
 
-    @pytest.mark.parametrize("checks", [["S004"], ["S008"], ["S001", "S01"]])
+    @pytest.mark.parametrize(
+        "checks", [["S004"], ["S008"], ["S001", "S01"], ["S005"]]
+    )
     def test_unknown_check_ids_rejected(self, checks):
-        # Retired (S004, S008) or mistyped ids must not silently narrow
-        # the audit to nothing.
-        with pytest.raises(ValueError, match="S001, S002, S003, S005"):
+        # Retired (S004, S005, S008) or mistyped ids must not silently
+        # narrow the audit to nothing.
+        with pytest.raises(ValueError, match="S001, S002, S003, S006"):
             Sanitizer(checks=checks)
 
 
@@ -484,6 +461,43 @@ class TestSanitizedSearch:
             other = audited.cone_results[register]
             assert result.rewards_seen == other.rewards_seen
             assert result.best_reward == other.best_reward
+
+    def test_s003_tampered_carried_delta(self, monkeypatch):
+        """The oracle's accepted candidate delta is carried forward as
+        the next base (``DeltaNetlist.rebased``); a sanitized search
+        audits it against a fresh elaboration of the accepted state."""
+        import dataclasses
+
+        from repro.bench_designs import load_design
+        from repro.incr import DeltaNetlist
+        from repro.mcts import optimize_registers
+
+        rebased = DeltaNetlist.rebased
+        carried = []
+
+        def tampered(self, graph):
+            base = rebased(self, graph)
+            # Drop one gate: the carried base no longer matches the
+            # accepted state's elaboration.
+            node = next(v for v in sorted(base.artifacts)
+                        if base.artifacts[v].gates)
+            artifact = base.artifacts[node]
+            base.artifacts = {
+                **base.artifacts,
+                node: dataclasses.replace(
+                    artifact, gates=artifact.gates[:-1]
+                ),
+            }
+            carried.append(node)
+            return base
+
+        monkeypatch.setattr(DeltaNetlist, "rebased", tampered)
+        with pytest.raises(InvariantViolation) as exc:
+            optimize_registers(
+                load_design("alu"), config=self._config(sanitize=True)
+            )
+        assert carried
+        assert exc.value.diagnostic.rule == "S003"
 
     def test_env_var_activates_and_restricts(self, monkeypatch):
         from repro.lint.sanitize import env_sanitize, from_config

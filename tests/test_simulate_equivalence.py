@@ -161,107 +161,3 @@ class TestAcceptanceSpeedup:
         assert scalar >= packed * 10.0, (
             f"bit-parallel speedup on {name} is only {scalar / packed:.1f}x"
         )
-
-
-# ---------------------------------------------------------------------------
-class TestPatchableSimulator:
-    """Differential fuzz for the patch-compiled plan: after chains of
-    random graph edits, ``PatchableSimulator.patch(delta)`` must be
-    bit-exact against a freshly compiled :class:`BitParallelSimulator`
-    of ``delta.materialize()`` -- the acceptance gate for removing the
-    per-candidate Kahn/Tarjan compile from the evaluation loops."""
-
-    @staticmethod
-    def _packed_inputs(pairs, cycles, seed):
-        from repro.synth.simulate import packed_stimulus_word
-
-        return {
-            net: packed_stimulus_word(seed, name, cycles)
-            for name, net in pairs
-        }
-
-    @pytest.mark.fuzz_smoke
-    @pytest.mark.parametrize(
-        "design,seed", [("uart_tx", 0), ("alu", 1), ("gray_counter", 2),
-                        ("fifo_sync", 3)]
-    )
-    def test_chained_edits_bit_exact_vs_fresh_compile(self, design, seed):
-        from repro.bench_designs import load_design
-        from repro.incr import DeltaNetlist
-        from repro.mcts import apply_swap, sample_swaps
-        from repro.synth.simulate import PatchableSimulator
-
-        cycles = 150  # crosses a word-block boundary
-        rng = np.random.default_rng(seed)
-        graph = load_design(design)
-        base = DeltaNetlist.from_graph(graph, check=False)
-        simulator = PatchableSimulator(base)
-        anchor = list(range(graph.num_nodes))
-        state, delta = graph, base
-        checked = 0
-        for _ in range(10):
-            swaps = sample_swaps(state, anchor, rng, 1)
-            if not swaps:
-                break
-            successor = apply_swap(state, swaps[0])
-            if successor is None:
-                continue
-            state = successor
-            # Chain the delta one edit deep, as ConeBatchEvaluator does.
-            delta = delta.apply_edit(state)
-            reference_netlist = delta.materialize()
-            reference = BitParallelSimulator(reference_netlist)
-            want = reference.run_packed(
-                self._packed_inputs(
-                    reference_netlist.primary_inputs, cycles, seed
-                ),
-                cycles,
-            )
-            got = simulator.patch(delta).run_packed(
-                self._packed_inputs(simulator.primary_inputs, cycles, seed),
-                cycles,
-            )
-            assert got == want, f"{design}: patched plan diverged"
-            checked += 1
-        assert checked >= 3, f"{design}: too few valid edits exercised"
-
-    @pytest.mark.fuzz_smoke
-    @pytest.mark.parametrize("profile", sorted(PROFILES))
-    @pytest.mark.parametrize("seed", range(3))
-    def test_random_netlist_base_plans_agree(self, profile, seed):
-        """Plan coarseness check on adversarial netlists: the node-level
-        plan of an (un-edited) tracked elaboration must already match
-        the gate-level compile on random feedback-heavy graphs."""
-        from repro.bench_designs import load_corpus
-        from repro.incr import DeltaNetlist
-        from repro.synth.simulate import PatchableSimulator
-
-        import zlib
-
-        graphs = sorted(load_corpus(), key=lambda g: g.num_nodes)
-        # crc32, not hash(): builtin hash is salted per process and
-        # would make the chosen design irreproducible.
-        pick = seed * 7 + zlib.crc32(profile.encode()) % 5
-        graph = graphs[pick % len(graphs)]
-        delta = DeltaNetlist.from_graph(graph, check=False)
-        netlist = delta.materialize()
-        cycles = 96
-        want = BitParallelSimulator(netlist).run_packed(
-            self._packed_inputs(netlist.primary_inputs, cycles, seed), cycles
-        )
-        sim = PatchableSimulator(delta)
-        got = sim.run_packed(
-            self._packed_inputs(sim.primary_inputs, cycles, seed), cycles
-        )
-        assert got == want
-
-    def test_port_views_match_materialized_netlist(self):
-        from repro.bench_designs import load_design
-        from repro.incr import DeltaNetlist
-        from repro.synth.simulate import PatchableSimulator
-
-        delta = DeltaNetlist.from_graph(load_design("alu"), check=False)
-        netlist = delta.materialize()
-        sim = PatchableSimulator(delta)
-        assert sim.primary_inputs == netlist.primary_inputs
-        assert sim.primary_outputs == netlist.primary_outputs
