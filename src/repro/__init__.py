@@ -13,7 +13,7 @@ __version__ = "0.2.0"
 from .ir import CircuitGraph, GraphBuilder, NodeType  # noqa: F401
 
 _API_NAMES = {
-    "ArtifactStore", "BenchRequest", "EvalRequest", "EvalResult", "GenerateRequest",
+    "ArtifactStore", "EvalRequest", "EvalResult", "GenerateRequest",
     "GenerateResult", "GenerationRecord", "LintRequest", "Session", "SynCircuit",
     "SynCircuitConfig", "SynthRequest", "SynthSummary", "list_presets",
     "resolve_preset",

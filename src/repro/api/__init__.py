@@ -17,7 +17,6 @@ and named scenario presets.
 from .engine import GenerationRecord, SynCircuit, SynCircuitConfig
 from .presets import list_presets, resolve_preset
 from .requests import (
-    BenchRequest,
     EvalRequest,
     EvalResult,
     GenerateRequest,
@@ -32,7 +31,6 @@ from .store import ArtifactStore, fingerprint, graphs_fingerprint
 __all__ = [
     "ArtifactStore",
     "BatchItemError",
-    "BenchRequest",
     "EvalRequest",
     "EvalResult",
     "GenerateRequest",

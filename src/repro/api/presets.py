@@ -61,10 +61,9 @@ def _ablation_no_diff() -> SynCircuitConfig:
 
 def _ablation_reward() -> SynCircuitConfig:
     config = _paper()
-    config.reward = "synthesis"
     # The ablation's point is the *exact* PCS in the search loop, so the
     # incremental estimate must not substitute for it.
-    config.mcts.incremental = False
+    config.reward = "full-resynthesis"
     return config
 
 
@@ -72,7 +71,8 @@ _PRESETS: dict[str, tuple[Callable[[], SynCircuitConfig], str]] = {
     "paper": (_paper, "Faithful paper defaults: 9-step diffusion, "
                       "500-simulation MCTS, PCS discriminator reward."),
     "fast": (_fast, "CPU-friendly scale (the old CLI defaults): smaller "
-                    "denoiser, 60 simulations, exact synthesis reward."),
+                    "denoiser, 60 simulations, incremental-estimate "
+                    "reward verified by exact synthesis."),
     "smoke": (_smoke, "Minutes-scale budget for tests and demos."),
     "bench": (_bench, "Perf-measurement scenario for `repro bench`: "
                       "smoke-scale training with a search budget large "
@@ -82,9 +82,9 @@ _PRESETS: dict[str, tuple[Callable[[], SynCircuitConfig], str]] = {
                          "training density instead of diffusion."),
     "ablation-reward": (_ablation_reward,
                         "Paper's reward ablation: exact synthesis PCS in "
-                        "the search loop (discriminator and incremental "
-                        "estimate both off -- the full-resynthesis "
-                        "reference path)."),
+                        "the search loop (reward='full-resynthesis': "
+                        "neither the discriminator nor the incremental "
+                        "estimate)."),
 }
 
 
@@ -123,8 +123,8 @@ def resolve_preset(
         config.diffusion = dataclasses.replace(config.diffusion, **diffusion)
     if mcts:
         config.mcts = dataclasses.replace(config.mcts, **mcts)
-    for key, value in overrides.items():
+    for key in overrides:
         if not hasattr(config, key):
             raise TypeError(f"SynCircuitConfig has no field {key!r}")
-        setattr(config, key, value)
-    return config
+    # replace() re-runs the config's validation on the overrides.
+    return dataclasses.replace(config, **overrides)

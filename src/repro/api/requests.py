@@ -57,10 +57,8 @@ class GenerateRequest:
     workers`` items), so it changes no output bit.  It stays in the
     schema because the serve protocol and existing clients send it.
     ``synth_period`` (if set) attaches a cached synthesis summary per
-    generated circuit.  ``incremental`` overrides
-    the session config's ``MCTSConfig.incremental`` for this request
-    only (``None`` keeps the config's choice): ``False`` forces the
-    full-resynthesis oracle reward in the Phase 3 search.
+    generated circuit.  The Phase-3 search reward is the session
+    config's ``SynCircuitConfig.reward``; no request field overrides it.
     ``sanitize`` audits this request's Phase 3 searches with the
     :mod:`repro.lint.sanitize` invariant checker (pure auditing: output
     is bit-identical, divergence raises
@@ -88,7 +86,6 @@ class GenerateRequest:
     name_prefix: str = "syn"
     workers: int = 1
     synth_period: float | None = None
-    incremental: bool | None = None
     sanitize: bool = False
     trace: bool = False
     tier: str | None = None
@@ -122,7 +119,6 @@ class GenerateRequest:
             "name_prefix": self.name_prefix,
             "workers": self.workers,
             "synth_period": self.synth_period,
-            "incremental": self.incremental,
             "sanitize": self.sanitize,
             "trace": self.trace,
             "tier": self.tier,
@@ -288,37 +284,6 @@ class LintRequest:
             netlist=bool(data.get("netlist", True)),
             rules=None if rules is None else [str(r) for r in rules],
         )
-
-
-# ---------------------------------------------------------------------------
-@dataclass
-class BenchRequest:
-    """One benchmark-suite run (see :mod:`repro.bench`).
-
-    ``filter`` keeps only benchmarks whose name contains the substring;
-    ``output`` (if set) is where the ``BENCH_<suite>.json`` report is
-    written.  The scenario itself (model sizes, search budgets) comes
-    from the session's config, so the same request measures any preset.
-    """
-
-    repeats: int = 3
-    warmup: int = 1
-    seed: int = 0
-    filter: str | None = None
-    output: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "repeats": self.repeats,
-            "warmup": self.warmup,
-            "seed": self.seed,
-            "filter": self.filter,
-            "output": self.output,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BenchRequest":
-        return cls(**data)
 
 
 # ---------------------------------------------------------------------------

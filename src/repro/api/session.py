@@ -37,7 +37,6 @@ from ..obs import span
 from .engine import GenerationRecord, SynCircuit, SynCircuitConfig
 from .presets import resolve_preset
 from .requests import (
-    BenchRequest,
     EvalRequest,
     EvalResult,
     GenerateRequest,
@@ -198,15 +197,9 @@ class Session:
         sample_seconds: float,
     ) -> GenerationRecord:
         mcts_config = None
-        overrides = {}
-        if (request.incremental is not None
-                and request.incremental != self.config.mcts.incremental):
-            overrides["incremental"] = request.incremental
         if request.sanitize and not self.config.mcts.sanitize:
-            overrides["sanitize"] = True
-        if overrides:
             # Request-scoped copy: the session config stays as built.
-            mcts_config = dataclasses.replace(self.config.mcts, **overrides)
+            mcts_config = dataclasses.replace(self.config.mcts, sanitize=True)
         with span("session.item", index=index, nodes=len(sample.types)):
             return self.engine.generate_one(
                 sample, sample_seconds, rng,
@@ -360,30 +353,6 @@ class Session:
             report.extend(lint_netlist(
                 elaborate(graph, check=False), rules=request.rules,
             ))
-        return report
-
-    # -- benchmarking ----------------------------------------------------
-    def bench(self, request: BenchRequest | None = None, **kwargs):
-        """Run the standard microbenchmark suite under this session's
-        scenario config and return a :class:`repro.bench.BenchReport`.
-
-        The suite is named after the session's preset (``BENCH_smoke.json``
-        for ``preset="smoke"``); ``request.output`` additionally writes
-        the report to disk.
-        """
-        from ..bench import run_suite
-
-        request = request or BenchRequest(**kwargs)
-        report = run_suite(
-            config=self.config,
-            suite=self.preset or "custom",
-            seed=request.seed,
-            repeats=request.repeats,
-            warmup=request.warmup,
-            filter_pattern=request.filter,
-        )
-        if request.output:
-            report.write(request.output)
         return report
 
     # -- evaluation ------------------------------------------------------

@@ -1,11 +1,12 @@
 """Performance measurement subsystem: seeded microbenchmarks with a
 machine-readable trajectory.
 
-``repro bench --preset smoke`` (or ``Session.bench()``) runs the
-standard suite over the stack's hot paths and writes ``BENCH_<suite>.json``
--- wall times, per-op throughput, scenario-config fingerprint and git
-revision -- so every PR's perf impact is a diffable number instead of a
-guess.  ``compare`` gates CI on the committed baseline.
+``repro bench --preset smoke`` runs the standard suite over the stack's
+hot paths (through :func:`run_suite`, the library entry point) and
+writes ``BENCH_<suite>.json`` -- wall times, per-op throughput,
+scenario-config fingerprint and git revision -- so every PR's perf
+impact is a diffable number instead of a guess.  ``compare`` gates CI
+on the committed baseline.
 
     from repro.bench import run_suite, compare, BenchReport
 

@@ -292,7 +292,6 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
     mcts_meta = {
         "design": "uart_tx",
         "num_simulations": config.mcts.num_simulations,
-        "incremental": config.mcts.incremental,
     }
 
     def mcts_run(graph):
@@ -329,9 +328,7 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
 
         return (
             load_design("uart_tx"),
-            dataclasses.replace(
-                config.mcts, incremental=True, sanitize=True
-            ),
+            dataclasses.replace(config.mcts, sanitize=True),
         )
 
     def sanitize_run(state):
@@ -477,7 +474,7 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
         Benchmark("sanitize.overhead", sanitize_setup, sanitize_run,
                   meta={"design": "uart_tx",
                         "num_simulations": config.mcts.num_simulations,
-                        "incremental": True, "sanitize": True}),
+                        "sanitize": True}),
         Benchmark("obs.overhead", obs_setup, obs_run, meta=obs_meta),
         Benchmark("metrics.structural", metrics_setup, metrics_run),
         Benchmark("e2e.generate", e2e_setup, e2e_run, repeats=2,
@@ -513,8 +510,6 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
 def run_suite(
     preset: str = "smoke",
     *,
-    config=None,
-    suite: str | None = None,
     seed: int = 0,
     repeats: int = 3,
     warmup: int = 1,
@@ -523,20 +518,16 @@ def run_suite(
 ) -> BenchReport:
     """Run the standard suite and return a stamped :class:`BenchReport`.
 
-    ``config`` overrides the preset with an explicit scenario config;
-    ``filter_pattern`` keeps only benchmarks whose name contains the
-    substring, or any of several substrings.  The report's
+    The suite is named after ``preset``; ``filter_pattern`` keeps only
+    benchmarks whose name contains the substring, or any of several
+    substrings.  The report's
     ``simulate.bitparallel`` record is annotated with
     ``speedup_vs_scalar`` when both simulation benchmarks ran.
     """
     from ..api.presets import resolve_preset
     from ..api.store import fingerprint
 
-    preset_name: str | None = preset
-    if config is None:
-        config = resolve_preset(preset, seed=seed)
-    else:
-        preset_name = suite
+    config = resolve_preset(preset, seed=seed)
     benchmarks = build_suite(config, seed=seed)
     benchmarks = [b for b in benchmarks if matches(b.name, filter_pattern)]
 
@@ -578,8 +569,8 @@ def run_suite(
             )
 
     return BenchReport.stamped(
-        suite=suite or preset_name or "custom",
-        preset=preset_name,
+        suite=preset,
+        preset=preset,
         config_fingerprint=fingerprint(config.to_dict()),
         records=records,
     )

@@ -175,15 +175,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         diffusion["epochs"] = args.epochs
     if args.simulations is not None:
         mcts["num_simulations"] = args.simulations
+    overrides = {}
     if args.full_resynthesis:
-        mcts["incremental"] = False
+        overrides["reward"] = "full-resynthesis"
     if args.require_equivalence:
         mcts["require_functional_equivalence"] = True
     if args.sanitize:
         mcts["sanitize"] = True
     try:
         config = resolve_preset(
-            args.preset, seed=args.seed, diffusion=diffusion, mcts=mcts
+            args.preset, seed=args.seed, diffusion=diffusion, mcts=mcts,
+            **overrides,
         )
     except KeyError as exc:
         raise SystemExit(f"error: {exc.args[0]}")
@@ -551,8 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--no-optimize", action="store_true")
     p_gen.add_argument(
         "--full-resynthesis", action="store_true",
-        help="disable the incremental reward engine: every MCTS reward "
-             "runs a full synthesize() (the reference oracle path)",
+        help="score every MCTS state with a full synthesize() "
+             "(reward='full-resynthesis', the paper's reward ablation) "
+             "instead of the preset's discriminator or incremental "
+             "estimate",
     )
     p_gen.add_argument(
         "--require-equivalence", action="store_true",

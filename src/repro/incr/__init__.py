@@ -13,7 +13,8 @@ shares everything else:
   base's recorded rounds, re-evaluating only the nodes that can differ;
 * :class:`IncrementalReward` -- the MCTS reward adapter: memoized
   per-node areas + word-level redundancy analysis, calibrated to exact
-  PCS at rebase (``MCTSConfig.incremental`` selects it);
+  PCS at rebase (the default search reward of
+  :func:`repro.mcts.optimize_registers`);
 * :class:`DeltaOracle` -- the exact acceptance oracle rebuilt on the
   delta substrate.
 

@@ -11,9 +11,9 @@ Register Q nets are allocated once and never move, so the dirty cone
 stops at register boundaries exactly like the MCTS driving cones do:
 a swap inside one cone re-lowers a handful of nodes instead of the
 whole design.  ``materialize()`` assembles a plain
-:class:`~repro.synth.netlist.Netlist` that is gate-for-gate equivalent
-(function, area and timing) to a fresh ``elaborate()`` of the edited
-graph; only net numbering differs.
+:class:`~repro.synth.netlist.Netlist` in a fresh ``elaborate()``'s gate
+order, gate-for-gate equivalent (function, area and timing) to it; only
+net numbering differs.
 
 Deltas are persistent values: ``apply_edit`` returns a new
 :class:`DeltaNetlist` and never mutates its receiver, so MCTS tree
@@ -426,28 +426,39 @@ class DeltaNetlist:
 
     # ------------------------------------------------------------------
     def materialize(self, check: bool = False) -> Netlist:
-        """Assemble a plain :class:`Netlist` for this delta's graph.
+        """Assemble a plain :class:`Netlist` in fresh-elaboration order.
 
-        Gates, ports and DFF origins are concatenated in node-id order;
-        the result is equivalent to ``elaborate(self.graph)`` in
-        function, gate counts, port names, area and timing (net ids and
-        gate order may differ after edits).
+        The optimizer's fixpoint is gate-*order*-sensitive inside
+        register feedback (which duplicate survives structural hashing,
+        whether a stuck-register fold is discovered), so the shared
+        artifacts are emitted exactly as ``elaborate`` would: primary
+        inputs in node-id order, comb nodes in the elaborator's
+        topological order, then register DFFs, then outputs.  The
+        gate-kind sequence is then identical to a fresh elaboration's;
+        only net ids differ, by a renumbering the passes are invariant
+        to, so the optimized gate *sequence* -- and with it the
+        order-faithful ``total_area`` fold -- matches the reference
+        path bit for bit.
         """
+        graph, artifacts = self.graph, self.artifacts
         nl = Netlist(
             name=self.name,
             num_nets=self.num_nets,
             const0=self.const0,
             const1=self.const1,
         )
-        graph = self.graph
-        for v in sorted(self.artifacts):
-            art = self.artifacts[v]
-            nl.gates.extend(art.gates)
-            nl.primary_inputs.extend(art.pis)
-            nl.primary_outputs.extend(art.pos)
-            if graph.node(v).type is NodeType.REG:
-                for b, q in enumerate(art.bits):
-                    nl.dff_origin[q] = (v, b)
+        gates = nl.gates
+        for v in sorted(artifacts):
+            nl.primary_inputs.extend(artifacts[v].pis)
+        for v in _Elaborator(graph)._comb_topo_order():
+            gates.extend(artifacts[v].gates)
+        for reg in graph.registers():
+            art = artifacts[reg]
+            gates.extend(art.gates)
+            for b, q in enumerate(art.bits):
+                nl.dff_origin[q] = (reg, b)
+        for out in graph.outputs():
+            nl.primary_outputs.extend(artifacts[out].pos)
         if check:
             nl.check()
         return nl

@@ -20,8 +20,9 @@ bit those of a :class:`~repro.incr.delta.DeltaNetlist` artifact fold.
 The estimate ranks candidate rewrites; acceptance is still gated by an
 exact oracle in :func:`repro.mcts.optimize.optimize_registers` --
 :class:`DeltaOracle` on the delta substrate, or a fresh ``synthesize()``
-on the reference path (``delta=False``).  The full-resynthesis search,
-``MCTSConfig.incremental=False``, stays available.
+on the reference path (``delta=False``).  The full-resynthesis search
+(``SynCircuitConfig.reward="full-resynthesis"``, or an explicit
+:class:`~repro.mcts.reward.SynthesisReward`) does not use it.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ class IncrementalReward:
             # fuzz asserts it), from the tracked elaboration the oracle
             # builds anyway: no separate elaboration.
             exact_pcs = netlist_pcs(
-                DeltaOracle._assemble(self._ensure_base_delta()),
+                self._ensure_base_delta().materialize(),
                 graph.num_nodes, self.library, self.strength,
             )
         elif exact_pcs is None:
@@ -396,13 +397,13 @@ class DeltaOracle:
     design, the candidate's netlist is assembled as
     ``base.apply_edit(...).materialize()`` against the incremental
     engine's anchored base -- O(dirty cone) elaboration work -- and only
-    the gate-level optimizer runs at full scale.  Because ``_assemble``
-    reproduces the fresh-elaboration gate *sequence* (not merely the
-    gate population) and the optimizer is deterministic over that
-    sequence, the same order-faithful ``total_area`` fold the full
-    ``synthesize`` path uses makes the two paths' PCS values
-    bit-identical, not merely ulp-close (asserted continuously by the
-    differential fuzz tier).
+    the gate-level optimizer runs at full scale.  Because
+    :meth:`~repro.incr.delta.DeltaNetlist.materialize` reproduces the
+    fresh-elaboration gate *sequence* (not merely the gate population)
+    and the optimizer is deterministic over that sequence, the same
+    order-faithful ``total_area`` fold the full ``synthesize`` path uses
+    makes the two paths' PCS values bit-identical, not merely ulp-close
+    (asserted continuously by the differential fuzz tier).
 
     Candidates whose lineage does not reach the engine's base (schema
     change, severed provenance) fall back to a fresh
@@ -443,7 +444,7 @@ class DeltaOracle:
         if base_graph is None:
             return None
         if graph is base_graph:
-            return self._assemble(engine._ensure_base_delta())
+            return engine._ensure_base_delta().materialize()
         priced = engine._priced(graph)
         if priced is None:
             return None
@@ -451,47 +452,7 @@ class DeltaOracle:
         if delta.parent is None:
             return None
         engine._candidate = delta
-        return self._assemble(delta)
-
-    @staticmethod
-    def _assemble(delta: "DeltaNetlist") -> Netlist:
-        """``materialize()`` in fresh-elaboration gate order.
-
-        The optimizer's fixpoint is gate-*order*-sensitive inside
-        register feedback (which duplicate survives structural hashing,
-        whether a stuck-register fold is discovered), so node-id
-        concatenation can optimize to a different gate population than
-        the reference path.  Emitting the shared artifacts in exactly
-        the order ``elaborate`` would -- comb nodes in the elaborator's
-        topological order, then register DFFs, then outputs -- makes
-        the gate-kind sequence identical to a fresh elaboration (nets
-        differ only by a renumbering the passes are invariant to), so
-        the optimized gate *sequence* -- and with it the order-faithful
-        ``total_area`` fold -- bit-matches the reference path.
-        """
-        from ..synth.elaborate import _Elaborator
-
-        graph = delta.graph
-        artifacts = delta.artifacts
-        nl = Netlist(
-            name=delta.name,
-            num_nets=delta.num_nets,
-            const0=delta.const0,
-            const1=delta.const1,
-        )
-        gates = nl.gates
-        for v in sorted(artifacts):
-            nl.primary_inputs.extend(artifacts[v].pis)
-        for v in _Elaborator(graph)._comb_topo_order():
-            gates.extend(artifacts[v].gates)
-        for reg in graph.registers():
-            art = artifacts[reg]
-            gates.extend(art.gates)
-            for b, q in enumerate(art.bits):
-                nl.dff_origin[q] = (reg, b)
-        for out in graph.outputs():
-            nl.primary_outputs.extend(artifacts[out].pos)
-        return nl
+        return delta.materialize()
 
     def __call__(
         self, graph: CircuitGraph, cone: object = None

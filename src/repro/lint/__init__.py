@@ -7,7 +7,7 @@ Three layers:
   sanitizer), severities, and JSON-round-trippable :class:`Diagnostic`
   / :class:`LintReport` dataclasses.
 * :mod:`repro.lint.constraints` -- the canonical constraint set ``C``
-  (moved here from ``repro.ir.validate``, which is now a shim).
+  (re-exported lazily from :mod:`repro.ir`).
 * :mod:`repro.lint.sanitize` -- the opt-in runtime auditor that
   cross-checks every incremental cache against from-scratch
   recomputation and raises :class:`InvariantViolation` on divergence.

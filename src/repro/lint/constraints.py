@@ -1,9 +1,8 @@
 """Circuit constraint checking (the paper's constraint set ``C``).
 
-Canonical home of the checks that used to live in ``repro.ir.validate``
-(that module is now a deprecation shim over this one; the public names
-are still re-exported from :mod:`repro.ir`).  Two families of
-constraints make a graph parseable back into HDL:
+Canonical home of the constraint checks (the public names are also
+re-exported lazily from :mod:`repro.ir`).  Two families of constraints
+make a graph parseable back into HDL:
 
 1. *Arity*: each node's type uniquely determines its number of parents.
 2. *No combinational loops*: every cycle must pass through at least one

@@ -56,7 +56,8 @@ SANITIZER_RULES = tuple(register(Rule(
      "match a full edge re-scan."),
     ("S003", "delta-netlist-coherence",
      "DeltaNetlist.materialize() must match a fresh elaborate() of the "
-     "same graph (ports, gate counts, observed function)."),
+     "same graph (ports, gate counts, gate-kind order, observed "
+     "function)."),
     ("S006", "area-memo-coherence",
      "IncrementalReward's (node, operand-widths) area memo must match a "
      "fresh single-node lowering of the candidate wiring."),
@@ -347,7 +348,8 @@ class Sanitizer:
 
     def check_delta(self, delta: "DeltaNetlist") -> None:
         """S003: ``materialize()`` equals a fresh ``elaborate()`` of the
-        delta's graph -- ports, gate counts and observed function."""
+        delta's graph -- ports, gate counts, gate-kind order and observed
+        function."""
         if not self.wants("S003"):
             return
         self.checks_run += 1
@@ -376,6 +378,12 @@ class Sanitizer:
                 "materialized delta's gate counts "
                 f"{materialized.gate_counts()} diverge from a fresh "
                 f"elaboration's {fresh.gate_counts()}", **prov,
+            )
+        elif ([g.kind for g in materialized.gates]
+                != [g.kind for g in fresh.gates]):
+            self._fail(
+                "S003", "materialized delta's gate order diverges from a "
+                "fresh elaboration's", **prov,
             )
         words = self._stimulus(pi_names, self.num_cycles)
         outputs = []

@@ -11,7 +11,6 @@ a per-cone search arm; only the arm differs.
 from __future__ import annotations
 
 import logging
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -33,24 +32,18 @@ logger = get_logger(__name__)
 class MCTSConfig:
     """Search budget; paper defaults are 500 simulations, depth 10.
 
-    ``incremental`` routes the search reward through the incremental
-    synthesis engine (:class:`repro.incr.IncrementalReward`): candidate
-    states are delta-elaborated against the cone search's base instead
-    of fully re-synthesized, and scored with a word-level redundancy
-    estimate calibrated to exact PCS at each rebase.  Applies only when
-    no explicit ``reward_fn`` is passed (the default reward would be the
-    exact :class:`~repro.mcts.reward.SynthesisReward`); an explicit
-    reward -- discriminator or exact -- is always used verbatim.  While
-    ``verify_with_synthesis`` is on (the default), acceptance is gated
-    by the exact synthesis oracle, so a misled estimate can never
-    worsen the result; turning verification off makes acceptance follow
-    the estimate alone.  Set to ``False`` for the full-resynthesis
-    reference path.
-
-    ``verify_with_synthesis`` guards acceptance when the search reward is
-    an approximation (the discriminator or the incremental estimate): a
-    cone's best state is only committed if the *true* post-synthesis PCS
-    improved.
+    The search reward is chosen by the ``reward_fn`` passed to
+    :func:`optimize_registers` (see :func:`_resolve_search_rewards`).
+    Without one, the incremental synthesis engine
+    (:class:`repro.incr.IncrementalReward`) ranks candidate states:
+    they are delta-elaborated against the cone search's base instead of
+    fully re-synthesized, and scored with a word-level redundancy
+    estimate calibrated to exact PCS at each rebase.  An approximate
+    reward -- that estimate or the discriminator -- only ranks: a cone's
+    best state is committed only if the exact post-synthesis PCS
+    improved, so a misled search can never worsen the result.  An
+    explicit :class:`~repro.mcts.reward.SynthesisReward` is exact PCS
+    in the loop and needs no check.
 
     ``delta`` is the one switch between the incremental engine's
     shortcuts and their reference paths (see
@@ -62,10 +55,9 @@ class MCTSConfig:
     from the engine's delta lineage instead of a fresh re-elaboration).
     ``False`` runs the full fixpoint and a fresh-synthesis oracle -- the
     reference the differential fuzz tier checks the shortcuts against,
-    bit for bit.  Both shortcuts fall back to the full path whenever
-    their preconditions fail and record any divergence in
+    bit for bit.  A divergence on either shortcut is recorded in
     :class:`OptimizationReport`.  Applies only when the incremental
-    engine is in play (``incremental=True``, no explicit ``reward_fn``).
+    engine is in play (no explicit ``reward_fn``).
 
     Every accepted cone rewrite is checked for whether the new cone
     still computes the original function (packed simulation of
@@ -96,10 +88,7 @@ class MCTSConfig:
     num_simulations: int = 500
     max_depth: int = 10
     branching: int = 8
-    exploration: float = math.sqrt(2.0)
     clock_period: float = 2.0
-    incremental: bool = True
-    verify_with_synthesis: bool = True
     delta: bool = True
     require_functional_equivalence: bool = False
     sanitize: bool = False
@@ -186,41 +175,29 @@ def _publish_metrics(report: OptimizationReport) -> None:
 def _resolve_search_rewards(config: MCTSConfig, reward_fn: RewardFn | None):
     """(search reward, incremental engine or None, oracle or None).
 
-    The incremental engine only stands in for the *default* reward: an
-    explicitly passed ``reward_fn`` -- whether the discriminator or an
-    exact :class:`SynthesisReward` -- is always used verbatim, so the
-    exact-reward arms of ablations and results tables measure what they
-    say.  When the search reward is approximate (discriminator or the
-    incremental estimate) and ``verify_with_synthesis`` is on,
-    acceptance is verified with the exact synthesis PCS so a misled
-    search can never hurt.
+    * No ``reward_fn``: the incremental estimate ranks, and the exact
+      oracle verifies -- :class:`~repro.incr.DeltaOracle` on the delta
+      substrate, a fresh :class:`SynthesisReward` when ``delta`` is off.
+    * An explicit :class:`SynthesisReward`: exact PCS in the loop, used
+      as is with no oracle, so the exact-reward arms of ablations and
+      results tables measure what they say.
+    * Any other explicit reward (the discriminator): used as is, and
+      verified with a fresh :class:`SynthesisReward`.
     """
-    exact_reward = reward_fn or SynthesisReward(config.clock_period)
-    incremental = None
-    search_base = exact_reward
-    if config.incremental and reward_fn is None:
-        from ..incr import IncrementalReward
+    if isinstance(reward_fn, SynthesisReward):
+        return reward_fn, None, None
+    if reward_fn is not None:
+        return reward_fn, None, SynthesisReward(config.clock_period)
+    from ..incr import DeltaOracle, IncrementalReward
 
-        incremental = IncrementalReward(
-            clock_period=config.clock_period, delta=config.delta,
-        )
-        search_base = incremental
-    oracle = None
-    if config.verify_with_synthesis and not isinstance(
-        search_base, SynthesisReward
-    ):
-        if incremental is not None and incremental.delta:
-            from ..incr import DeltaOracle
-
-            # Acceptance on the delta substrate: candidate netlists are
-            # materialized from the engine's lineage, not re-elaborated.
-            oracle = DeltaOracle(incremental)
-        else:
-            oracle = (
-                exact_reward if isinstance(exact_reward, SynthesisReward)
-                else SynthesisReward(config.clock_period)
-            )
-    return search_base, incremental, oracle
+    incremental = IncrementalReward(
+        clock_period=config.clock_period, delta=config.delta,
+    )
+    oracle = (
+        DeltaOracle(incremental) if config.delta
+        else SynthesisReward(config.clock_period)
+    )
+    return incremental, incremental, oracle
 
 
 #: One cone search: ``(current design, cone, reward)`` -> best state found.
@@ -273,7 +250,6 @@ def _mcts_arm(config: MCTSConfig) -> SearchArm:
             num_simulations=config.num_simulations,
             max_depth=config.max_depth,
             branching=config.branching,
-            exploration=config.exploration,
             seed=config.seed + cone.register,
         )
         return optimizer.optimize_cone(
@@ -416,11 +392,8 @@ def _search_registers(
                             ] = False
                 if not rejected:
                     if oracle is None:
+                        # Exact PCS in the loop: the gain is already exact.
                         current = result.best_graph
-                        # Without the oracle there is no exact value for
-                        # the new state; the next rebase must
-                        # re-synthesize.
-                        current_pcs = None
                         accepted = True
                     else:
                         with span("mcts.oracle", register=cone.register):

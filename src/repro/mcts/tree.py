@@ -24,6 +24,9 @@ from .cones import Cone
 
 RewardFn = Callable[[CircuitGraph, Cone], float]
 
+#: The paper's UCB1 exploration constant.
+EXPLORATION = math.sqrt(2.0)
+
 
 @dataclass
 class _TreeNode:
@@ -67,14 +70,12 @@ class MCTSOptimizer:
         num_simulations: int = 500,
         max_depth: int = 10,
         branching: int = 8,
-        exploration: float = math.sqrt(2.0),
         seed: int = 0,
     ):
         self.reward_fn = reward_fn
         self.num_simulations = num_simulations
         self.max_depth = max_depth
         self.branching = branching
-        self.exploration = exploration
         self.rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
@@ -169,7 +170,7 @@ class MCTSOptimizer:
         for child in node.children.values():
             if child.visits == 0:
                 return child
-            score = child.q_value + self.exploration * math.sqrt(
+            score = child.q_value + EXPLORATION * math.sqrt(
                 log_n / child.visits
             )
             if score > best_score:

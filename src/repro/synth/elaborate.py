@@ -20,10 +20,17 @@ MUL_WIDTH_CAP = 16
 
 
 def elaborate(graph: CircuitGraph, check: bool = True) -> Netlist:
-    """Lower ``graph`` to a gate netlist (the "GTECH" step of synthesis)."""
+    """Lower ``graph`` to a gate netlist (the "GTECH" step of synthesis).
+
+    ``check`` audits both ends: the graph's validity before lowering
+    and the netlist's structure (:meth:`Netlist.check`) after.
+    """
     if check:
         assert_valid(graph)
-    return _Elaborator(graph).run()
+    netlist = _Elaborator(graph).run()
+    if check:
+        netlist.check()
+    return netlist
 
 
 class _Elaborator:
@@ -66,8 +73,6 @@ class _Elaborator:
 
         for out in g.outputs():
             self.lower_output(out)
-
-        nl.check()
         return nl
 
     # ------------------------------------------------------------------

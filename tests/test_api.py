@@ -53,7 +53,7 @@ class TestPresets:
 
     def test_ablation_presets(self):
         assert resolve_preset("ablation-no-diff").use_diffusion is False
-        assert resolve_preset("ablation-reward").reward == "synthesis"
+        assert resolve_preset("ablation-reward").reward == "full-resynthesis"
 
     def test_seed_propagates_to_nested_configs(self):
         config = resolve_preset("fast", seed=11)
@@ -82,6 +82,17 @@ class TestPresets:
         with pytest.raises(TypeError, match="no field"):
             resolve_preset("fast", warp=9)
 
+    def test_unknown_reward_rejected(self):
+        # A typo must not fall through to the synthesis reward.
+        with pytest.raises(ValueError, match="unknown reward"):
+            SynCircuitConfig(reward="synth")
+        with pytest.raises(ValueError, match="unknown reward"):
+            resolve_preset("fast", reward="exact")
+        data = resolve_preset("fast").to_dict()
+        data["reward"] = "discriminater"
+        with pytest.raises(ValueError, match="unknown reward"):
+            SynCircuitConfig.from_dict(data)
+
     def test_session_seed_propagates_with_explicit_config(self, tmp_path):
         # Session(config=..., seed=N) follows the same contract as the
         # preset path: one integer seeds the nested configs too.
@@ -92,6 +103,73 @@ class TestPresets:
         assert s.config.mcts.seed == 13
         # The seed goes into a copy: the caller's config is untouched.
         assert config == resolve_preset("smoke")
+
+
+# ---------------------------------------------------------------------------
+def _phase3_rewards(config, graphs):
+    """(search reward type, oracle type or None) a fitted engine runs."""
+    from repro.api import SynCircuit
+    from repro.mcts.optimize import _resolve_search_rewards
+
+    # A stand-in model skips diffusion training; Phase 3 never reads it.
+    engine = SynCircuit(config).fit(graphs, trained=object())
+    search, _, oracle = _resolve_search_rewards(config.mcts, engine._reward_fn)
+    return type(search).__name__, oracle and type(oracle).__name__
+
+
+#: Preset -> the Phase-3 (search reward, acceptance oracle) it runs.
+PRESET_REWARDS = {
+    "fast": ("IncrementalReward", "DeltaOracle"),
+    "smoke": ("IncrementalReward", "DeltaOracle"),
+    "bench": ("IncrementalReward", "DeltaOracle"),
+    "paper": ("PCSDiscriminator", "SynthesisReward"),
+    "ablation-no-diff": ("PCSDiscriminator", "SynthesisReward"),
+    "ablation-reward": ("SynthesisReward", None),
+}
+
+
+class TestPhase3Reward:
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        from repro.bench_designs import load_design
+
+        return [load_design("uart_tx")]
+
+    def test_table_covers_every_preset(self):
+        assert set(PRESET_REWARDS) == set(list_presets())
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_REWARDS))
+    def test_preset_runs_its_reward(self, preset, graphs):
+        config = resolve_preset(preset)
+        assert _phase3_rewards(config, graphs) == PRESET_REWARDS[preset]
+
+    def test_delta_off_verifies_with_fresh_synthesis(self, graphs):
+        config = resolve_preset("smoke", mcts={"delta": False})
+        assert _phase3_rewards(config, graphs) == (
+            "IncrementalReward", "SynthesisReward",
+        )
+
+    @pytest.mark.parametrize("preset", ["fast", "paper"])
+    def test_cli_full_resynthesis_puts_exact_reward_in_loop(
+        self, preset, graphs, monkeypatch, tmp_path
+    ):
+        from repro.cli import main
+
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def fit(session, *args, **kwargs):
+            seen.append(session.config)
+            raise Stop
+
+        monkeypatch.setattr(Session, "fit", fit)
+        with pytest.raises(Stop):
+            main(["generate", "--preset", preset, "--full-resynthesis",
+                  "-o", str(tmp_path)])
+        assert seen[0].reward == "full-resynthesis"
+        assert _phase3_rewards(seen[0], graphs) == ("SynthesisReward", None)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +189,10 @@ class TestJsonRoundTrip:
         back = self._roundtrip(req, GenerateRequest)
         assert back == req
         assert back.nodes == (20, 40)
+
+    def test_generate_request_has_no_reward_override(self):
+        with pytest.raises(TypeError, match="incremental"):
+            GenerateRequest.from_dict({"count": 1, "incremental": False})
 
     @pytest.mark.parametrize("nodes", [0, 3, (3, 40), -1])
     def test_generate_request_rejects_unsampleable_nodes(self, nodes):

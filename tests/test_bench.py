@@ -148,18 +148,6 @@ class TestSuite:
         # Without a baseline the table still renders (dashes).
         assert "metrics.structural" in render_profile(report, None)
 
-    def test_session_bench_writes_report(self, tmp_path):
-        from repro.api import BenchRequest, Session
-
-        out = tmp_path / "BENCH_out.json"
-        session = Session(preset="smoke")
-        report = session.bench(BenchRequest(
-            repeats=1, warmup=0, filter="metrics", output=str(out),
-        ))
-        assert [r.name for r in report.records] == ["metrics.structural"]
-        assert report.suite == "smoke"
-        assert json.loads(out.read_text())["suite"] == "smoke"
-
     def test_mcts_result_sha_guard(self):
         """The ``mcts.optimize`` record's ``result_sha`` pins the smoke
         search result; a change that moves it changed the algorithm."""
@@ -172,12 +160,6 @@ class TestSuite:
             load_design("uart_tx"), config=resolve_preset("smoke").mcts
         )
         assert result_sha(report.graph) == "a03d2c4397fec96e"
-
-    def test_bench_request_roundtrip(self):
-        from repro.api import BenchRequest
-
-        request = BenchRequest(repeats=5, filter="sim", output="x.json")
-        assert BenchRequest.from_dict(request.to_dict()) == request
 
 
 class TestCli:

@@ -14,7 +14,6 @@ The load-bearing guarantees:
   direction; gated here so reward-path regressions fail tier-1).
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -486,7 +485,7 @@ class TestIncrementalSearch:
     def test_never_worsens_exact_pcs(self):
         graph = redundant_design()
         config = MCTSConfig(num_simulations=25, max_depth=4, branching=4,
-                            seed=0, incremental=True)
+                            seed=0)
         before = synthesize(graph, clock_period=CLOCK).pcs
         report = optimize_registers(graph, config=config)
         after = synthesize(report.graph, clock_period=CLOCK).pcs
@@ -494,14 +493,6 @@ class TestIncrementalSearch:
         assert validate(report.graph).ok
         assert report.incremental
         assert report.reward_rebases >= 1
-
-    def test_incremental_flag_off_uses_exact_path(self):
-        graph = redundant_design()
-        config = MCTSConfig(num_simulations=10, max_depth=3, seed=0,
-                            incremental=False)
-        report = optimize_registers(graph, config=config)
-        assert not report.incremental
-        assert report.reward_patches == report.reward_rebases == 0
 
     def test_explicit_synthesis_reward_is_honored_verbatim(self):
         """An explicitly passed exact reward must never be substituted
@@ -511,10 +502,10 @@ class TestIncrementalSearch:
 
         graph = redundant_design()
         reward = SynthesisReward(clock_period=CLOCK)
-        config = MCTSConfig(num_simulations=5, max_depth=2, seed=0,
-                            incremental=True)
+        config = MCTSConfig(num_simulations=5, max_depth=2, seed=0)
         report = optimize_registers(graph, reward_fn=reward, config=config)
         assert not report.incremental
+        assert report.reward_patches == report.reward_rebases == 0
         assert reward.calls > 0  # the search actually ran through it
 
     def test_random_search_honors_equivalence_gate(self):
@@ -522,8 +513,7 @@ class TestIncrementalSearch:
 
         graph = redundant_design()
         config = MCTSConfig(num_simulations=30, max_depth=4, seed=1,
-                            require_functional_equivalence=True,
-                            verify_with_synthesis=False)
+                            require_functional_equivalence=True)
         report = random_search_registers(graph, config=config)
         evaluator = ConeBatchEvaluator(seed=42)
         for register in report.graph.registers():
@@ -552,8 +542,7 @@ class TestIncrementalSearch:
         for seed in range(6):
             config = MCTSConfig(num_simulations=30, max_depth=4, branching=4,
                                 seed=seed,
-                                require_functional_equivalence=True,
-                                verify_with_synthesis=False)
+                                require_functional_equivalence=True)
             report = optimize_registers(graph, config=config)
             assert report.equivalence_rejections >= 0
             if report.equivalence_rejections:
@@ -612,23 +601,25 @@ class TestIncrementalSpeed:
         must stay clearly faster with the incremental engine (the tight
         >=3x end-to-end number is gated by the committed BENCH_smoke.json
         baseline in CI, where best-of-N absorbs noise)."""
-        graph = load_design("uart_tx")
-        incremental = MCTSConfig(num_simulations=8, max_depth=3, branching=3,
-                                 seed=0, incremental=True)
-        full = dataclasses.replace(incremental, incremental=False)
+        from repro.mcts import SynthesisReward
 
-        def best_wall(config, repeats=3):
-            optimize_registers(graph, config=config)  # warmup
+        graph = load_design("uart_tx")
+        config = MCTSConfig(num_simulations=8, max_depth=3, branching=3,
+                            seed=0)
+        full = SynthesisReward(config.clock_period)
+
+        def best_wall(reward_fn, repeats=3):
+            optimize_registers(graph, reward_fn, config)  # warmup
             walls = []
             for _ in range(repeats):
                 started = time.perf_counter()
-                optimize_registers(graph, config=config)
+                optimize_registers(graph, reward_fn, config)
                 walls.append(time.perf_counter() - started)
             return min(walls)
 
-        speedup = best_wall(full) / best_wall(incremental)
+        speedup = best_wall(full) / best_wall(None)
         if speedup < 2.0:  # transient load: one retry with more samples
-            speedup = max(speedup, best_wall(full, 5) / best_wall(incremental, 5))
+            speedup = max(speedup, best_wall(full, 5) / best_wall(None, 5))
         assert speedup >= 2.0, (
             f"incremental search only {speedup:.2f}x faster end-to-end"
         )

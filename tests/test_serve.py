@@ -230,6 +230,14 @@ class TestServeEndToEnd:
         with pytest.raises(ServeError, match="400"):
             client.submit({"count": 1, "bogus_field": True})
 
+    def test_per_request_reward_override_is_400(self, client):
+        # The search reward is the server config's; no request field
+        # overrides it.
+        jobs_before = len(client.jobs())
+        with pytest.raises(ServeError, match="400.*incremental"):
+            client.submit({"count": 1, "incremental": False})
+        assert len(client.jobs()) == jobs_before
+
     @pytest.mark.parametrize("field, value, message", [
         ("tier", "turbo", "unknown tier"),
         ("count", -1, "count must be >= 0"),

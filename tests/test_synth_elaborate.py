@@ -182,3 +182,24 @@ class TestSequential:
         netlist = elaborate(b.build())
         netlist.check()
         assert netlist.num_dffs == 4
+
+    def test_check_flag_gates_the_netlist_audit(self, monkeypatch):
+        from repro.synth.netlist import Netlist
+
+        audits = []
+        original = Netlist.check
+
+        def spy(netlist):
+            audits.append(netlist)
+            original(netlist)
+
+        monkeypatch.setattr(Netlist, "check", spy)
+        b = GraphBuilder("t")
+        r = b.reg("r", 4)
+        b.drive_reg(r, b.add(b.input("a", 4), r, width=4))
+        b.output("y", r)
+        graph = b.build()
+        elaborate(graph, check=False)
+        assert audits == []
+        netlist = elaborate(graph)
+        assert audits == [netlist]
