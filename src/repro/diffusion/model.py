@@ -23,10 +23,10 @@ path (`predict_full`, `predict_full_batch`) that scores one block of
 pairs, rows x columns; the reverse walk asks for the legal block
 (:class:`~repro.diffusion.features.PairBlock`: drivers x receivers), the
 only pairs Phase 2 can use, and the noisy adjacency comes in over the
-same block; the encoder reads it scattered into a dense N x N
-aggregation with zeros elsewhere.
-Training and the encoder run in float64; the pair decoder runs in
-float32, and P_E agrees with a float64 decoder within 1e-6.  The decoder
+same block.  Only receivers have parents, so the encoder aggregates
+``M @ H[drivers]`` into the receiver rows and builds no N x N matrix.
+Training runs in float64; inference, encoder and pair decoder, runs in
+float32, and P_E agrees with a float64 forward within 1e-6.  The decoder
 walks each graph in row blocks sized to a fixed cache budget, so the
 workspace stays bounded whatever N and the batch size are; blocking
 never changes a GEMM slice shape or an element's op order, so the
@@ -52,16 +52,17 @@ from ..nn import (
 )
 from .features import NUM_WIDTH_BUCKETS, PairBlock
 
-# Byte budget of one row block of the pair decoder's (rows, N, H) float32
-# workspace (see DenoisingNetwork._decode_np).  Two such buffers are live
-# per forward.  Sweep: hidden 48, one BLAS thread, a Xeon with 2 MiB L2
-# per core; decoder time summed over items of 64x4, 128x4, 256x4 and
-# 320x1 nodes, median of 25 interleaved rounds, two sweeps.  64 KiB
-# 99-101 ms, 128 KiB 85-88, 256 KiB 79-80, 512 KiB 77-79, 1 MiB 88,
-# 2 MiB 92-93, 4 MiB 114-115.  A 60-round sweep of 256/384/512/768 KiB
-# read 78.8/77.3/74.6/77.2 ms.  The optimum is flat from 256 to 768 KiB.
-# 256 KiB keeps the float64 decoder's workspace bytes; 512 KiB ran no
-# faster end to end (genbench sample-only) and raised peak RSS 0.5 MB.
+# Byte budget of each of the pair decoder's two float32 row-block
+# buffers (see DenoisingNetwork._decode_np): the (rows, |R|, H)
+# activations and the (rows, H, H) per-driver weights, so rows is sized
+# from max(|R|, H) and neither buffer exceeds it.  Sweep: hidden
+# 48, one BLAS thread, a Xeon with 2 MiB L2 per core; decoder time
+# summed over items of 64x4, 128x4, 256x4 and 320x1 nodes, median of 25
+# interleaved rounds, two sweeps.  64 KiB 44-57 ms, 128 KiB 37-39, 256
+# KiB 36-38, 512 KiB 34-36, 1 MiB 34, 2 MiB 35-38, 4 MiB 38-43.  Two
+# 60-round sweeps of 256/384/512/768/1024 KiB read 35.3-36.5,
+# 34.7-36.9, 34.8-36.2, 35.3-36.6 and 36.7-37.7 ms: flat from 256 to
+# 768 KiB, so the budget stays 256 KiB.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -80,24 +81,17 @@ class DirectedMPNNEncoder(Module):
 
     @staticmethod
     def aggregation_matrix(a_t: np.ndarray,
-                           block: PairBlock | None = None) -> np.ndarray:
+                           dtype: type = np.float64) -> np.ndarray:
         """Row-normalised parent aggregation: M[j, i] = A_t[i, j]/|P(j)|.
 
-        ``a_t`` holds the pairs of ``block`` (default: ``a_t`` is the
-        dense ``(N, N)`` adjacency).  A block's aggregation is scattered
-        into the dense ``(N, N)`` matrix, zeros elsewhere: bit for bit
-        the matrix of the block's dense scatter, since in-degrees are
-        exact integer sums.
+        ``a_t`` is the dense ``(N, N)`` adjacency in training and a
+        :class:`PairBlock`'s ``(|D|, |R|)`` at inference.  In-degrees are
+        exact integer sums, so a block's M is bit for bit the receiver x
+        driver part of its dense scatter's.
         """
-        a = a_t.astype(np.float64)
+        a = a_t.astype(dtype)
         indeg = a.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m = a.T / np.maximum(indeg[:, None], 1.0)
-        if block is None:
-            return m
-        dense = np.zeros((block.num_nodes, block.num_nodes))
-        dense[np.ix_(block.receivers, block.drivers)] = m
-        return dense
+        return a.T / np.maximum(indeg[:, None], 1)
 
     def initial_embedding(self, types: np.ndarray, widths: np.ndarray,
                           t_frac: float) -> Tensor:
@@ -195,7 +189,7 @@ class DenoisingNetwork(Module):
             wh, bh = _wb(w_h)
             wm, bm = _wb(w_m)
             ah = agg @ h
-            # The tape's pairing; _encode_np sums these in another order.
+            # The tape's pairing; inference sums these in another order.
             s = (h @ wh + bh) + (ah @ wm + bm)
             mask = s > 0
             layers.append((h, ah, mask))
@@ -274,14 +268,16 @@ class DenoisingNetwork(Module):
         log-odds(true density) - log-odds(training rate).  Rankings are
         unaffected; sampled densities become calibrated.
 
-        The encoder runs in float64 and the pair decoder in float32 (see
+        This is the B=1 call of :meth:`predict_full_batch`.  The forward
+        runs in float32 (see :meth:`_encode_np_batch` and
         :meth:`_decode_np`): the result is within 1e-6 of a float64
         forward, not bit-identical to one.
         """
         if block is None:
             block = PairBlock.full(len(types))
-        h = self._encode_np(types, widths, a_t, t_frac, block)
-        return self._decode_np(h[None], t_frac, [logit_bias], [block])[0]
+        return self.predict_full_batch(
+            np.asarray(types)[None], np.asarray(widths)[None], [a_t],
+            t_frac, [logit_bias], [block])[0]
 
     def predict_full_batch(
         self, types: np.ndarray, widths: np.ndarray,
@@ -304,8 +300,9 @@ class DenoisingNetwork(Module):
         output slice bit-identical to a standalone :meth:`predict_full`
         call -- the property the batched sampler's reproducibility
         guarantee rests on (row-fusing the batch into one tall GEMM
-        measurably changes low-order bits).  Both methods share the one
-        float32 pair decoder, :meth:`_decode_np`.
+        measurably changes low-order bits).  :meth:`predict_full` is
+        this method at B=1, so there is one float32 encoder and one pair
+        decoder.
         """
         batch, n = np.shape(types)
         if blocks is None:
@@ -324,28 +321,24 @@ class DenoisingNetwork(Module):
         ``k``'s ``(|drivers|, |receivers|)`` block of P_E, shifted by
         ``logit_bias[k]``, through the cache-blocked pair decoder.
 
-        The first decoder layer needs the pair tensor
-        ``z[i, j] = (H_i + r) * H_j`` for driver rows ``i`` and receiver
-        columns ``j``; built whole at hidden 48 it outgrows a 2 MiB L2
-        from about 75 nodes on, and its elementwise passes become bound
-        by memory traffic.  So each item is walked in row blocks whose
-        ``(rows, |R|, H)`` workspace fits :data:`_BLOCK_BYTES`, in two
-        buffers allocated once per forward.  Blocking only changes which
-        rows share a call: every matmul slice is still
-        ``(|R|, H) @ (H, H)`` (then ``@ (H, 1)``) and each element sees
-        the same operations in the same order, so the output is
-        bit-identical for every block size.
+        The first layer's input for driver ``i`` and receiver ``j`` is
+        ``(H_i + r) * H_j``.  No pair tensor is built: driver ``i``'s
+        activations are the GEMM ``H[receivers] @ W_i`` with
+        ``W_i = (H_i + r)[:, None] * W1``, and the time bias ``b`` is the
+        ReLU threshold, ``relu(x + b) @ w2 = max(x, -b) @ w2 + b @ w2``.
+        Each item is walked in driver-row blocks whose ``(rows, |R|, H)``
+        activations and ``(rows, H, H)`` weights each fit
+        :data:`_BLOCK_BYTES`, in buffers allocated once per forward.
+        Every matmul slice is still ``(|R|, H) @ (H, H)`` (then
+        ``@ (H, 1)``) and each element sees the same operations in the
+        same order, so the output is bit-identical for every block size.
 
-        The decoder runs in float32, the one inference precision: ``H``,
-        ``H + r``, the first layer's weights and time bias, and the
-        output weights are cast once per forward, which roughly halves the
-        per-element and the GEMM cost.  Each block's logits are
-        widened to float64 as they are stored, and ``b2``, the
-        ``logit_bias`` and the sigmoid run in float64.  P_E agrees with
-        a float64 decoder within 1e-6 (measured up to 4.8e-7 on graphs of
-        48-384 nodes).  A posterior draw flips only when its uniform
-        lands within that difference of P, so a sampled adjacency is
-        expected, not promised, to equal the float64 decoder's.
+        It runs in float32 with its weights cast once per forward; each
+        block's logits are widened to float64 as they are stored, and
+        ``b @ w2``, ``b2``, the ``logit_bias`` and the sigmoid run in
+        float64.  P_E agrees with a float64 forward within 1e-6: a draw
+        flips only when its uniform lands within that difference of P,
+        so sampled edges are expected, not promised, to match float64's.
         """
         hidden = h.shape[2]
         feats = time_features(t_frac, self.encoder.time_dim)
@@ -357,82 +350,74 @@ class DenoisingNetwork(Module):
         w2, b2 = _wb(edge[1])
         f32 = np.float32
         w1_z = w1[:hidden].astype(f32)
-        # constant contribution of the time concat
+        # The time concat's constant contribution, the ReLU's bias.
         d_bias = (d @ w1[hidden:] + b1).astype(f32)
+        threshold = -d_bias
         w2 = w2.astype(f32)
+        shift = float(d_bias.astype(np.float64) @ w2[:, 0]) + float(b2[0])
         h_r = (h + r).astype(f32)
         h = h.astype(f32)
 
         rows = [
             max(1, min(len(blk.drivers),
-                       _BLOCK_BYTES // (max(len(blk.receivers), 1)
+                       _BLOCK_BYTES // (max(len(blk.receivers), hidden)
                                         * hidden * 4)))
             for blk in blocks
         ]
         words = max((k * len(blk.receivers) * hidden
                      for k, blk in zip(rows, blocks)), default=0)
-        pairs = np.empty(words, dtype=f32)
         act = np.empty(words, dtype=f32)
+        weights = np.empty((max(rows, default=0), hidden, hidden), dtype=f32)
         out = []
         for k, (blk, step) in enumerate(zip(blocks, rows)):
             drivers, receivers = blk.shape
             h_src = h_r[k, blk.drivers]
-            h_dst = h[k][blk.receivers][None]
+            h_dst = h[k, blk.receivers]
             logits = np.empty((drivers, receivers))
             for lo in range(0, drivers, step):
                 hi = min(lo + step, drivers)
-                size = (hi - lo) * receivers * hidden
-                z = pairs[:size].reshape(hi - lo, receivers, hidden)
-                a1 = act[:size].reshape(hi - lo, receivers, hidden)
-                # z[i, j, :] = (H_i + r) * H_j for driver rows [lo, hi)
-                np.multiply(h_src[lo:hi, None, :], h_dst, out=z)
-                np.matmul(z, w1_z, out=a1)
-                a1 += d_bias
-                np.maximum(a1, 0.0, out=a1)
+                w = weights[:hi - lo]
+                a1 = act[:(hi - lo) * receivers * hidden].reshape(
+                    hi - lo, receivers, hidden)
+                # W_i = (H_i + r)[:, None] * W1 for driver rows [lo, hi)
+                np.multiply(h_src[lo:hi, :, None], w1_z, out=w)
+                np.matmul(h_dst, w, out=a1)
+                np.maximum(a1, threshold, out=a1)
                 # A float32 GEMV, widened on store into the float64 logits.
                 np.matmul(a1, w2, out=logits[lo:hi, :, None])
-            logits += b2
-            logits += logit_bias[k]
+            logits += shift + logit_bias[k]
             out.append(sigmoid_np(logits))
         return out
 
     def _encode_np_batch(self, types: np.ndarray, widths: np.ndarray,
                          a_t: Sequence[np.ndarray], t_frac: float,
-                         blocks: Sequence[PairBlock] | None = None,
-                         ) -> np.ndarray:
-        """Batched numpy encoder: ``(B, N)`` attributes -> ``(B, N, H)``;
-        ``a_t[k]`` is over ``blocks[k]`` (default: dense ``(N, N)``)."""
+                         blocks: Sequence[PairBlock]) -> np.ndarray:
+        """The inference encoder: ``(B, N)`` attributes -> float32
+        ``(B, N, H)`` embeddings; ``a_t[k]`` is item ``k``'s noisy
+        adjacency over ``blocks[k]``.
+
+        Only receivers have parents, so each layer aggregates
+        ``M_k @ H[drivers]`` into item ``k``'s receiver rows and every
+        other row's message is zero.  It runs in float32 with the
+        weights cast once per forward.  Every GEMM slice has the shape
+        of the B=1 call's, so each item's output is bit for bit its
+        solo forward's.
+        """
         enc = self.encoder
+        f32 = np.float32
         types = np.asarray(types, dtype=np.int64)
         widths = np.asarray(widths, dtype=np.int64)
         h = enc.type_emb.weight.data[types] + enc.width_emb.weight.data[widths]
         t_emb = _mlp_np(enc.time_mlp, time_features(t_frac, enc.time_dim))
-        h = h + t_emb
-        agg = np.stack([
-            enc.aggregation_matrix(a, None if blocks is None else blocks[k])
-            for k, a in enumerate(a_t)
-        ])
+        h = (h + t_emb).astype(f32)
+        agg = [enc.aggregation_matrix(a, f32) for a in a_t]
         for w_h, w_m in zip(enc.w_h, enc.w_m):
-            wh, bh = _wb(w_h)
-            wm, bm = _wb(w_m)
-            # Same expression (and so the same per-slice GEMM shapes and
-            # addition order) as _encode_np, batched over axis 0.
-            h = np.maximum(h @ wh + bh + (agg @ h) @ wm + bm, 0.0)
-        return h
-
-    def _encode_np(self, types: np.ndarray, widths: np.ndarray,
-                   a_t: np.ndarray, t_frac: float,
-                   block: PairBlock | None = None) -> np.ndarray:
-        enc = self.encoder
-        h = (enc.type_emb.weight.data[np.asarray(types, dtype=np.int64)]
-             + enc.width_emb.weight.data[np.asarray(widths, dtype=np.int64)])
-        t_emb = _mlp_np(enc.time_mlp, time_features(t_frac, enc.time_dim))
-        h = h + t_emb
-        agg = enc.aggregation_matrix(a_t, block)
-        for w_h, w_m in zip(enc.w_h, enc.w_m):
-            wh, bh = _wb(w_h)
-            wm, bm = _wb(w_m)
-            h = np.maximum(h @ wh + bh + (agg @ h) @ wm + bm, 0.0)
+            wh, bh, wm, bm = (x.astype(f32) for x in (*_wb(w_h), *_wb(w_m)))
+            s = h @ wh + bh
+            for k, (m, blk) in enumerate(zip(agg, blocks)):
+                s[k, blk.receivers] += (m @ h[k, blk.drivers]) @ wm
+            s += bm
+            h = np.maximum(s, 0.0, out=s)
         return h
 
 

@@ -115,16 +115,17 @@ def sample_batch(
     Items are grouped by node count and each group walks the reverse
     process in lockstep: per step, one
     :meth:`~repro.diffusion.model.DenoisingNetwork.predict_full_batch`
-    forward scores the whole group (one stacked encoder pass, then the
-    cache-blocked pair decoder over each item's own legal block), while
+    forward scores the whole group (one stacked float32 encoder pass that
+    aggregates over each item's own legal block, then the cache-blocked
+    pair decoder over that block), while
     every stochastic draw still comes from the item's own generator in
     the same order as :func:`sample_initial_graph` would consume it.  The
     result list is therefore element-wise bit-identical to calling
     :func:`sample_initial_graph` per item -- the property the session
     API's sequential/parallel equivalence guarantee rests on -- at a
-    fraction of the Python and BLAS dispatch overhead.  Both paths score
-    pairs with the one float32 pair decoder, so this equality is exact;
-    against a float64 decoder, P_E agrees within 1e-6 and a draw flips
+    fraction of the Python and BLAS dispatch overhead.  Both paths run
+    the one float32 forward, so this equality is exact; against a
+    float64 forward, P_E agrees within 1e-6 and a draw flips
     only when its uniform lands within that difference of P.  The flip
     side: group-by-size sharing degrades to solo-sized forwards as sizes
     grow heterogeneous, which the DEBUG group histogram and the

@@ -75,38 +75,39 @@ class NoiseSchedule:
         Standard D3PM posterior for independent 2-state chains:
         ``q(x_{t-1} | x_t, x_0) \\propto Q_t[x_{t-1}, x_t] *
         Qbar_{t-1}[x_0, x_{t-1}]``, then the network's ``p(A_0=1)``
-        marginalises the unknown ``x_0``.  The arithmetic is
-        elementwise, so a ``(B, N, N)`` stack of same-size items gets
-        each item's values bit for bit.
+        marginalises the unknown ``x_0``.  Every factor but ``p_x0``
+        depends only on the binary ``x_t``, so the whole block is
+        evaluated with the ``x_t = 0`` factors (:meth:`_posterior`) and
+        the few ``x_t = 1`` entries are then recomputed with theirs; each
+        entry sees the closed form's operations in the same order, bit
+        for bit.
         """
         if t < 1:
             raise ValueError("posterior requires t >= 1")
         if t == 1:
             return np.clip(p_x0, 0.0, 1.0)
+        p_x0 = np.clip(p_x0, 1e-9, 1.0 - 1e-9)
+        out = self._posterior(p_x0, t, 0.0)
+        hit = np.flatnonzero(a_t)
+        out.flat[hit] = self._posterior(p_x0.flat[hit], t, 1.0)
+        return out
+
+    def _posterior(self, p_x0: np.ndarray, t: int, a_t: float) -> np.ndarray:
+        """The closed form over entries that all observed ``x_t = a_t``."""
         m1 = self.noise_density
         m0 = 1.0 - m1
         beta_t = self.beta[t]
         ab_prev = self.alpha_bar[t - 1]
-        a_t = a_t.astype(np.float64)
         # Q_t[x_{t-1}=k, x_t]: transition into the observed x_t.
         noise_into_xt = m0 * (1.0 - a_t) + m1 * a_t
-        trans_into_xt = {
-            0: (1.0 - beta_t) * (1.0 - a_t) + beta_t * noise_into_xt,
-            1: (1.0 - beta_t) * a_t + beta_t * noise_into_xt,
-        }
-        # Qbar_{t-1}[x_0, x_{t-1}=k] for both hypothetical x_0 values.
-        cum = {
-            (0, 0): ab_prev + (1.0 - ab_prev) * m0,
-            (0, 1): (1.0 - ab_prev) * m1,
-            (1, 0): (1.0 - ab_prev) * m0,
-            (1, 1): ab_prev + (1.0 - ab_prev) * m1,
-        }
-        p_x0 = np.clip(p_x0, 1e-9, 1.0 - 1e-9)
-        unnorm: dict[int, np.ndarray] = {}
-        for k in (0, 1):
-            unnorm[k] = (
-                (1.0 - p_x0) * (cum[(0, k)] * trans_into_xt[k])
-                + p_x0 * (cum[(1, k)] * trans_into_xt[k])
-            )
-        total = unnorm[0] + unnorm[1]
-        return unnorm[1] / np.maximum(total, 1e-30)
+        trans0 = (1.0 - beta_t) * (1.0 - a_t) + beta_t * noise_into_xt
+        trans1 = (1.0 - beta_t) * a_t + beta_t * noise_into_xt
+        # Qbar_{t-1}[x_0, x_{t-1}=k] * Q_t[k, x_t] for x_0 = 0 and 1.
+        not_p = 1.0 - p_x0
+        unnorm0 = not_p * ((ab_prev + (1.0 - ab_prev) * m0) * trans0)
+        unnorm0 += p_x0 * (((1.0 - ab_prev) * m0) * trans0)
+        unnorm1 = not_p * (((1.0 - ab_prev) * m1) * trans1)
+        unnorm1 += p_x0 * ((ab_prev + (1.0 - ab_prev) * m1) * trans1)
+        unnorm0 += unnorm1
+        unnorm1 /= np.maximum(unnorm0, 1e-30, out=unnorm0)
+        return unnorm1

@@ -54,6 +54,13 @@ class DiffusionConfig:
     noise_density: float | None = None  # None: mean density of train set
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # num_layers=0 still trains and samples, so it stays allowed.
+        for name in ("num_steps", "hidden", "time_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass
 class TrainedDiffusion:

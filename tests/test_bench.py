@@ -1,6 +1,7 @@
 """Tests for the repro.bench subsystem: harness, report schema, the CI
 regression gate, and the Session/CLI entry points."""
 
+import gc
 import json
 
 import pytest
@@ -119,9 +120,16 @@ class TestRegressionGate:
 
 class TestSuite:
     def test_simulation_suite_and_speedup_annotation(self):
-        report = run_suite(
-            preset="smoke", repeats=1, warmup=1, filter_pattern="simulate"
-        )
+        # A full test session leaves the collector a large heap; keep its
+        # collections out of these single timed runs, as timeit does.
+        gc.disable()
+        try:
+            report = run_suite(
+                preset="smoke", repeats=1, warmup=1,
+                filter_pattern="simulate",
+            )
+        finally:
+            gc.enable()
         names = [record.name for record in report.records]
         assert names == [
             "simulate.scalar", "simulate.bitparallel",

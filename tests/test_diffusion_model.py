@@ -196,24 +196,29 @@ class TestDenoisingNetwork:
 
         solo = net.predict_full(types[0], buckets[0], a_t[0], 0.3,
                                 logit_bias=-0.7)
-        h = net._encode_np(types[0], buckets[0], a_t[0], 0.3)
-        want = _unblocked_decode(net, h[None], 0.3, -0.7, np.float32)[0]
+        full = [PairBlock.full(n)] * 3
+        h = net._encode_np_batch(types[:1], buckets[:1], a_t[:1], 0.3,
+                                 full[:1])
+        want = _unblocked_decode(net, h, 0.3, -0.7, np.float32)[0]
         np.testing.assert_array_equal(solo, want)
 
         stacked = net.predict_full_batch(types, buckets, a_t, 0.3,
                                          logit_bias=-0.7)
-        h = net._encode_np_batch(types, buckets, a_t, 0.3)
+        h = net._encode_np_batch(types, buckets, a_t, 0.3, full)
         want = _unblocked_decode(net, h, 0.3, -0.7, np.float32)
         np.testing.assert_array_equal(stacked, want)
 
 
 def _unblocked_decode(net, h, t_frac, logit_bias, dtype=np.float64):
-    """The pair decoder in one shot: the whole ``(B, N, N, H)`` pair
-    tensor at once, no blocks and no reused buffers.
+    """The pair decoder over every pair at once: no blocks and no reused
+    buffers.
 
-    ``dtype=np.float64`` is the full-precision reference the float32
-    decoder is held to within a tolerance; ``np.float32`` casts the
-    operands as the decoder does, for the bit-identity check.
+    ``dtype=np.float64`` is the full-precision reference, the edge MLP on
+    the whole ``(B, N, N, H)`` pair tensor ``(H_i + r) * H_j`` as the
+    model defines it.  ``np.float32`` casts the operands as the decoder
+    does and follows its op order -- ``H_j @ ((H_i + r)[:, None] * W1)``,
+    the time bias as the ReLU threshold and ``b @ w2`` added in float64
+    -- for the bit-identity check.
     """
     def mlp(m, x):
         for layer in m.layers[:-1]:
@@ -226,12 +231,19 @@ def _unblocked_decode(net, h, t_frac, logit_bias, dtype=np.float64):
     d = mlp(net.decoder.timestep_mlp, feats)[0]
     first, last = net.decoder.edge_mlp.layers
     w1, b1 = first.weight.data, first.bias.data
-    d_bias = (d @ w1[hidden:] + b1).astype(dtype)
-    h_r, h = (h + r).astype(dtype), h.astype(dtype)
-    z = h_r[:, :, None, :] * h[:, None, :, :]
-    a1 = np.maximum(z @ w1[:hidden].astype(dtype) + d_bias, 0.0)
-    out = (a1 @ last.weight.data.astype(dtype)).astype(np.float64)
-    logits = (out + last.bias.data)[..., 0] + logit_bias
+    d_bias = d @ w1[hidden:] + b1
+    w2, b2 = last.weight.data, float(last.bias.data[0])
+    if dtype is np.float64:
+        z = (h + r)[:, :, None, :] * h[:, None, :, :]
+        a1 = np.maximum(z @ w1[:hidden] + d_bias, 0.0)
+        logits = (a1 @ w2)[..., 0] + b2 + logit_bias
+    else:
+        f32 = np.float32
+        b, w2 = d_bias.astype(f32), w2.astype(f32)
+        w = (h + r).astype(f32)[..., None] * w1[:hidden].astype(f32)
+        a1 = np.maximum(h.astype(f32)[:, None] @ w, -b)
+        shift = float(b.astype(np.float64) @ w2[:, 0]) + b2
+        logits = (a1 @ w2).astype(np.float64)[..., 0] + (shift + logit_bias)
     return sigmoid_np(logits)
 
 
@@ -252,8 +264,8 @@ def fast_trained():
 def test_float32_decoder_within_tolerance_on_population(fast_trained):
     """On a seeded population of 48-384 nodes, every denoiser forward of
     the reverse walk gives P_E on the legal block within
-    :data:`DECODE_TOLERANCE` of the float64 unblocked decoder fed the
-    same node embeddings."""
+    :data:`DECODE_TOLERANCE` of a float64 forward over the dense
+    adjacency: the tape encoder, then the float64 unblocked decoder."""
     model = fast_trained.model
     steps = fast_trained.schedule.num_steps
     rng = np.random.default_rng(2026)
@@ -273,8 +285,8 @@ def test_float32_decoder_within_tolerance_on_population(fast_trained):
         for t in range(steps, 0, -1):
             p_x0 = model.predict_full(types, buckets, a_blk, t / steps,
                                       logit_bias=bias, block=block)
-            h = model._encode_np(types, buckets, block.scatter(a_blk),
-                                 t / steps)
+            h = model.encoder(types, buckets, block.scatter(a_blk),
+                              t / steps).data
             want = _unblocked_decode(model, h[None], t / steps, bias)[0]
             drift = max(drift, float(np.abs(p_x0 - block.gather(want)).max()))
             p_draw = (schedule.posterior_probability(a_blk, p_x0, t)
@@ -309,6 +321,23 @@ class TestTraining:
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
             train_diffusion([], DiffusionConfig(epochs=1))
+
+    @pytest.mark.parametrize("field", ["num_steps", "hidden", "time_dim"])
+    def test_config_rejects_unusable_sizes(self, field):
+        """A size that cannot train fails at construction, not deep in a
+        fit: ``num_steps=0`` used to fail in the timestep draw and
+        ``hidden=0`` in the weight init."""
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            DiffusionConfig(**{field: 0})
+
+    def test_config_allows_zero_layers(self):
+        """``num_layers=0`` (embeddings straight into the decoder) still
+        trains and samples."""
+        cfg = DiffusionConfig(epochs=1, hidden=8, num_layers=0)
+        trained = train_diffusion(load_corpus()[:2], cfg)
+        result = sample_initial_graph(trained, 12,
+                                      rng=np.random.default_rng(0))
+        assert result.adjacency.shape == (12, 12)
 
 
 class TestSampling:
@@ -433,12 +462,17 @@ class TestLegalBlock:
         dense = np.arange(NUM_TYPES ** 2).reshape(NUM_TYPES, NUM_TYPES)
         np.testing.assert_array_equal(
             block.scatter(block.gather(dense)), np.where(mask, dense, 0))
-        # The encoder's aggregation of a block is the dense one of its
-        # scatter, bit for bit.
-        a_blk = np.random.default_rng(1).random(block.shape) < 0.3
+        # The encoder's block message, scattered to the receiver rows, is
+        # the dense aggregation of the block's scatter, bit for bit.
+        rng = np.random.default_rng(1)
+        a_blk = rng.random(block.shape) < 0.3
+        h = rng.standard_normal((NUM_TYPES, 8))
+        scattered = np.zeros_like(h)
+        scattered[block.receivers] = (
+            DirectedMPNNEncoder.aggregation_matrix(a_blk) @ h[block.drivers])
         np.testing.assert_array_equal(
-            DirectedMPNNEncoder.aggregation_matrix(a_blk, block),
-            DirectedMPNNEncoder.aggregation_matrix(block.scatter(a_blk)))
+            scattered,
+            DirectedMPNNEncoder.aggregation_matrix(block.scatter(a_blk)) @ h)
 
     def test_no_edge_or_probability_outside_block(self, trained):
         """Both sampler paths, over attributes drawn uniformly from

@@ -122,3 +122,54 @@ class TestPosterior:
             np.array([[bool(x_t)]]), np.array([[p0]]), t
         )[0, 0]
         assert got == pytest.approx(expected, abs=1e-9)
+
+
+def _closed_form_posterior(s, a_t, p_x0, t):
+    """The D3PM posterior evaluated over the whole block with per-entry
+    transition factors: the form the factored ``posterior_probability``
+    must equal bit for bit."""
+    m1 = s.noise_density
+    m0 = 1.0 - m1
+    beta_t = s.beta[t]
+    ab_prev = s.alpha_bar[t - 1]
+    a_t = a_t.astype(np.float64)
+    noise_into_xt = m0 * (1.0 - a_t) + m1 * a_t
+    trans_into_xt = {
+        0: (1.0 - beta_t) * (1.0 - a_t) + beta_t * noise_into_xt,
+        1: (1.0 - beta_t) * a_t + beta_t * noise_into_xt,
+    }
+    cum = {
+        (0, 0): ab_prev + (1.0 - ab_prev) * m0,
+        (0, 1): (1.0 - ab_prev) * m1,
+        (1, 0): (1.0 - ab_prev) * m0,
+        (1, 1): ab_prev + (1.0 - ab_prev) * m1,
+    }
+    p_x0 = np.clip(p_x0, 1e-9, 1.0 - 1e-9)
+    unnorm = {
+        k: ((1.0 - p_x0) * (cum[(0, k)] * trans_into_xt[k])
+            + p_x0 * (cum[(1, k)] * trans_into_xt[k]))
+        for k in (0, 1)
+    }
+    return unnorm[1] / np.maximum(unnorm[0] + unnorm[1], 1e-30)
+
+
+@pytest.mark.parametrize("t", range(2, 10))
+@pytest.mark.parametrize(
+    "kind", ["random", "all-zero", "all-one", "empty"])
+def test_factored_posterior_equals_closed_form(t, kind):
+    """The posterior evaluated with ``x_t = 0`` factors and patched at the
+    ``x_t = 1`` entries is the per-entry closed form, bit for bit."""
+    s = NoiseSchedule.cosine(9, 0.013)
+    rng = np.random.default_rng([t, len(kind)])
+    shape = (0, 57) if kind == "empty" else (96, 131)
+    p_x0 = rng.random(shape)
+    p_x0.flat[:3] = [0.0, 1.0, 1e-12][:p_x0.size]
+    a_t = {
+        "random": rng.random(shape) < 0.02,
+        "all-zero": np.zeros(shape, dtype=bool),
+        "all-one": np.ones(shape, dtype=bool),
+        "empty": np.zeros(shape, dtype=bool),
+    }[kind]
+    got = s.posterior_probability(a_t, p_x0, t)
+    assert got.shape == shape and got.dtype == np.float64
+    np.testing.assert_array_equal(got, _closed_form_posterior(s, a_t, p_x0, t))
